@@ -112,8 +112,9 @@ int main() {
              {&stream_cells, &lambda},
              {&dyn_cells, &selected}}) {
       const double us = bench::time_us([&] {
-        attn::sparse_paged_decode(alloc, *table, head.tokens(), q.data(), 64,
-                                  0.125f, out.data());
+        attn::sparse_paged_decode(alloc, *table, head.tokens(),
+                                  num::ConstMatView{q.data(), 1, 64, 64},
+                                  0.125f, num::MatView{out.data(), 1, 64, 64});
       });
       cells->push_back(bench::fmt(us, 1));
     }

@@ -6,6 +6,8 @@
 // rigorous per-kernel timings (use --benchmark_filter=... to narrow).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "attn/block_sparse_prefill.hpp"
 #include "attn/decode_attention.hpp"
 #include "eval/metrics.hpp"
@@ -82,38 +84,42 @@ BENCHMARK(BM_PrefillBranchyStreamingMask)->Arg(1024)->Arg(2048);
 struct DecodeFixture {
   kv::PageAllocator alloc;
   kv::HeadCache head;
-  std::vector<float> q;
-  std::vector<float> out;
+  num::Tensor q;    ///< [group x head_dim] query rows of one kv head.
+  num::Tensor out;  ///< same shape.
 
-  DecodeFixture(std::size_t n, num::KvDtype dtype)
+  DecodeFixture(std::size_t n, num::KvDtype dtype, std::size_t head_dim = 64,
+                std::size_t group = 1)
       : alloc(
             [&] {
               kv::PageConfig c;
               c.page_size = 64;
               c.logical_page_size = 16;
-              c.head_dim = 64;
+              c.head_dim = head_dim;
               c.dtype = dtype;
               return c;
             }(),
             n / 64 + 2),
-        q(64, 0.3f),
-        out(64) {
+        q(group, head_dim, 0.3f),
+        out(group, head_dim) {
     model::StreamConfig sc;
     sc.n_tokens = n;
-    sc.head_dim = 64;
+    sc.head_dim = head_dim;
     const model::TokenStream stream = model::smooth_stream(sc);
     eval::fill_head_cache(alloc, head, stream);
+  }
+
+  void decode(const kv::SelectedPageTable& table, float scale) {
+    attn::sparse_paged_decode(alloc, table, head.tokens(), q.view(), scale,
+                              out.view());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
 };
 
 void BM_DecodeFullTable(benchmark::State& state) {
   DecodeFixture fix(state.range(0), num::KvDtype::kFp16);
   const auto table = kv::full_page_table(fix.head.view(fix.alloc));
-  for (auto _ : state) {
-    attn::sparse_paged_decode(fix.alloc, table, fix.head.tokens(),
-                              fix.q.data(), 64, 0.125f, fix.out.data());
-    benchmark::DoNotOptimize(fix.out.data());
-  }
+  for (auto _ : state) fix.decode(table, 0.125f);
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_DecodeFullTable)
@@ -127,25 +133,31 @@ void BM_DecodePrunedTable(benchmark::State& state) {
   sparse::PageSelectorConfig cfg;
   cfg.token_budget = 1024;
   const auto table = sparse::select_pages_hierarchical(fix.alloc, fix.head,
-                                                       fix.q.data(), cfg);
-  for (auto _ : state) {
-    attn::sparse_paged_decode(fix.alloc, table, fix.head.tokens(),
-                              fix.q.data(), 64, 0.125f, fix.out.data());
-    benchmark::DoNotOptimize(fix.out.data());
-  }
+                                                       fix.q.row(0), cfg);
+  for (auto _ : state) fix.decode(table, 0.125f);
 }
 BENCHMARK(BM_DecodePrunedTable)->Arg(4096)->Arg(8192)->Arg(16384);
 
 void BM_DecodeInt4Table(benchmark::State& state) {
   DecodeFixture fix(state.range(0), num::KvDtype::kInt4);
   const auto table = kv::full_page_table(fix.head.view(fix.alloc));
-  for (auto _ : state) {
-    attn::sparse_paged_decode(fix.alloc, table, fix.head.tokens(),
-                              fix.q.data(), 64, 0.125f, fix.out.data());
-    benchmark::DoNotOptimize(fix.out.data());
-  }
+  for (auto _ : state) fix.decode(table, 0.125f);
 }
 BENCHMARK(BM_DecodeInt4Table)->Arg(4096)->Arg(8192);
+
+// The served geometry (lserve_config on the tiny model): int4 pages of
+// 64 tokens / 16-token logical pages, head_dim 32, a GQA group of 2 query
+// rows per kv head, and a 4096-token selector budget over an 8192-token
+// context. One iteration is one dense kv head's decode.
+void BM_DecodeInt4GroupSelected(benchmark::State& state) {
+  DecodeFixture fix(8192, num::KvDtype::kInt4, 32, 2);
+  sparse::PageSelectorConfig cfg;
+  cfg.token_budget = 4096;
+  const auto table = sparse::select_pages_hierarchical(fix.alloc, fix.head,
+                                                       fix.q.row(0), cfg);
+  for (auto _ : state) fix.decode(table, 1.0f / std::sqrt(32.0f));
+}
+BENCHMARK(BM_DecodeInt4GroupSelected);
 
 void BM_SelectorFlat(benchmark::State& state) {
   DecodeFixture fix(state.range(0), num::KvDtype::kFp16);
@@ -153,7 +165,7 @@ void BM_SelectorFlat(benchmark::State& state) {
   cfg.token_budget = 1024;
   for (auto _ : state) {
     auto table =
-        sparse::select_pages_flat(fix.alloc, fix.head, fix.q.data(), cfg);
+        sparse::select_pages_flat(fix.alloc, fix.head, fix.q.row(0), cfg);
     benchmark::DoNotOptimize(table.data());
   }
   state.SetComplexityN(state.range(0));
@@ -166,7 +178,7 @@ void BM_SelectorHierarchical(benchmark::State& state) {
   cfg.token_budget = 1024;
   for (auto _ : state) {
     auto table = sparse::select_pages_hierarchical(fix.alloc, fix.head,
-                                                   fix.q.data(), cfg);
+                                                   fix.q.row(0), cfg);
     benchmark::DoNotOptimize(table.data());
   }
   state.SetComplexityN(state.range(0));

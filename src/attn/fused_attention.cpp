@@ -17,48 +17,6 @@ float resolve_scale(float scale, std::size_t head_dim) {
 
 }  // namespace
 
-void fused_sparse_prefill(num::ConstMatView q, num::ConstMatView k,
-                          num::ConstMatView v,
-                          std::span<const kv::HeadKind> kv_head_kinds,
-                          std::size_t head_dim, const FusedPrefillConfig& cfg,
-                          num::MatView out) {
-  const std::size_t n = q.rows;
-  const std::size_t q_heads = q.cols / head_dim;
-  const std::size_t kv_heads = kv_head_kinds.size();
-  assert(k.cols == kv_heads * head_dim && q_heads % kv_heads == 0);
-  const std::size_t group = q_heads / kv_heads;
-  const float scale = resolve_scale(cfg.scale, head_dim);
-
-  // Masks are shared within a kv group; dynamic masks additionally depend
-  // on the query head, so they are built per query head below.
-  BlockMask causal =
-      BlockMask::causal(n, cfg.tiling.tile_q, cfg.tiling.tile_k);
-  causal.finalize();
-  BlockMask lambda = BlockMask::streaming(n, cfg.tiling.tile_q,
-                                          cfg.tiling.tile_k,
-                                          cfg.streaming.sink_blocks,
-                                          cfg.streaming.local_blocks);
-  lambda.finalize();
-
-  for (std::size_t h = 0; h < q_heads; ++h) {
-    const std::size_t kvh = h / group;
-    const num::ConstMatView qh = q.cols_slice(h * head_dim, head_dim);
-    const num::ConstMatView kh = k.cols_slice(kvh * head_dim, head_dim);
-    const num::ConstMatView vh = v.cols_slice(kvh * head_dim, head_dim);
-    num::MatView oh = out.cols_slice(h * head_dim, head_dim);
-
-    if (kv_head_kinds[kvh] == kv::HeadKind::kStreaming) {
-      block_sparse_prefill(qh, kh, vh, lambda, cfg.tiling, scale, oh);
-    } else if (cfg.dynamic_dense) {
-      const BlockMask dyn = sparse::build_dynamic_prefill_mask(
-          qh, kh, cfg.tiling, cfg.dynamic_cfg, scale);
-      block_sparse_prefill(qh, kh, vh, dyn, cfg.tiling, scale, oh);
-    } else {
-      block_sparse_prefill(qh, kh, vh, causal, cfg.tiling, scale, oh);
-    }
-  }
-}
-
 void fused_chunked_prefill(const kv::PageAllocator& dense_alloc,
                            const kv::PageAllocator& stream_alloc,
                            const kv::TwoWayKvCache& cache, std::size_t layer,
@@ -70,9 +28,7 @@ void fused_chunked_prefill(const kv::PageAllocator& dense_alloc,
   const std::size_t kv_heads = cache.kv_heads();
   assert(k.cols == kv_heads * head_dim && q_heads % kv_heads == 0);
   const std::size_t group = q_heads / kv_heads;
-  const float scale = cfg.scale != 0.0f
-                          ? cfg.scale
-                          : 1.0f / std::sqrt(static_cast<float>(head_dim));
+  const float scale = resolve_scale(cfg.scale, head_dim);
 
   BlockMask causal =
       BlockMask::causal(n, cfg.tiling.tile_q, cfg.tiling.tile_k);
@@ -179,14 +135,14 @@ void fused_sparse_decode(const kv::PageAllocator& dense_alloc,
         cache.kind(layer, kvh) == kv::HeadKind::kStreaming ? stream_alloc
                                                            : dense_alloc;
     // Tiered store: hint the whole selected table before the walk so the
-    // prefetcher can promote cold pages while the first group heads read
-    // hot ones (no-op when tiering is off).
+    // prefetcher can promote cold pages while the walk reads the hot ones
+    // (no-op when tiering is off).
     alloc.prefetch(std::span<const kv::SelectedPage>(table));
-    for (std::size_t g = 0; g < group_size; ++g) {
-      const std::size_t h = kvh * group_size + g;
-      sparse_paged_decode(alloc, table, seq_tokens, q_heads.row(h), head_dim,
-                          scale, out.row(h), nullptr, stats);
-    }
+    // One walk for the whole query group: each page is read once.
+    sparse_paged_decode(alloc, table, seq_tokens,
+                        q_heads.rows_slice(kvh * group_size, group_size),
+                        scale, out.rows_slice(kvh * group_size, group_size),
+                        nullptr, stats);
   }
 }
 

@@ -2,19 +2,19 @@
 //
 // One call processes every query head of a layer, mixing sparsity patterns
 // per head exactly as the fused CUDA kernels do:
-//   prefill — dense (retrieval) heads run the unified block-sparse kernel
-//             with a causal or dynamically-estimated mask; streaming heads
-//             run it with the Λ mask.
-//   decode  — every head goes through the one sparse_paged_decode kernel;
-//             what differs is only the (possibly pruned) page table:
-//             full / selector output / sink+local index table.
+//   prefill — fused_chunked_prefill: dense (retrieval) heads run the
+//             unified block-sparse kernel with a causal or dynamically-
+//             estimated mask; streaming heads run it with the Λ mask.
+//   decode  — every kv head goes through the one sparse_paged_decode
+//             kernel, once for its whole query group; what differs is only
+//             the (possibly pruned) page table: full / selector output /
+//             sink+local index table.
 // GQA is handled here: query head h reads kv head h / group_size, and the
 // page selector scores against the group's mean query (one selection per
 // kv head, shared by its query group).
 #pragma once
 
 #include <cstddef>
-#include <span>
 
 #include "attn/block_sparse_prefill.hpp"
 #include "attn/chunked_prefill.hpp"
@@ -50,15 +50,6 @@ struct FusedDecodeConfig {
   sparse::PageSelectorConfig selector;
 };
 
-/// Fused prefill over all heads of one layer.
-/// q: [n x (q_heads*head_dim)], k/v: [n x (kv_heads*head_dim)],
-/// kinds: one HeadKind per kv head; out: [n x (q_heads*head_dim)].
-void fused_sparse_prefill(num::ConstMatView q, num::ConstMatView k,
-                          num::ConstMatView v,
-                          std::span<const kv::HeadKind> kv_head_kinds,
-                          std::size_t head_dim, const FusedPrefillConfig& cfg,
-                          num::MatView out);
-
 /// Fused CHUNKED prefill over all heads of one layer. Called AFTER the
 /// chunk's KV write-back (TwoWayKvCache::append_roundtrip, with streaming
 /// eviction deferred): per-head token counts minus the chunk length give
@@ -70,7 +61,8 @@ void fused_sparse_prefill(num::ConstMatView q, num::ConstMatView k,
 /// coordinates against cfg.total_tokens. Together these make prefill
 /// invariant to the chunk/attach schedule for causal dense and streaming
 /// heads (dynamic_dense masks remain chunk-local, hence schedule-
-/// dependent). With an empty history this equals fused_sparse_prefill.
+/// dependent). With an empty history this reduces to the ordinary
+/// block-sparse prefill of the chunk.
 /// q: [n x q_heads*head_dim], k/v: [n x kv_heads*head_dim] for the CHUNK.
 void fused_chunked_prefill(const kv::PageAllocator& dense_alloc,
                            const kv::PageAllocator& stream_alloc,

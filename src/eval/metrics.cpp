@@ -64,8 +64,9 @@ std::vector<float> run_probe_on_table(const kv::PageAllocator& alloc,
   const std::size_t d = alloc.config().head_dim;
   const float scale = 1.0f / std::sqrt(static_cast<float>(d));
   std::vector<float> out(d, 0.0f);
-  attn::sparse_paged_decode(alloc, table, head.tokens(), q, d, scale,
-                            out.data());
+  attn::sparse_paged_decode(alloc, table, head.tokens(),
+                            num::ConstMatView{q, 1, d, d}, scale,
+                            num::MatView{out.data(), 1, d, d});
   return out;
 }
 

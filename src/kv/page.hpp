@@ -71,6 +71,13 @@ class Page {
   void load_key(std::size_t slot, float* out) const noexcept;
   void load_value(std::size_t slot, float* out) const noexcept;
 
+  /// The stored key / value rows (codes + per-row params, or fp rows) for
+  /// kernels that read the storage format directly. Slots [0, size()) are
+  /// valid. Like any Page access, only inside a PagePin scope: a demotion
+  /// drops this storage once no pin covers the page.
+  const num::QuantizedRows& keys() const noexcept { return keys_; }
+  const num::QuantizedRows& values() const noexcept { return values_; }
+
   std::size_t size() const noexcept { return count_; }
   bool full() const noexcept { return count_ == cfg_.page_size; }
   bool empty() const noexcept { return count_ == 0; }

@@ -60,6 +60,17 @@ inline float decode(std::uint32_t code, QuantParams p) {
   return (static_cast<float>(code) - p.zero_point) * p.scale;
 }
 
+// Packed 4-bit codes (low nibble first) to the floats 0..15.
+void unpack_int4(const std::uint8_t* codes, std::size_t n,
+                 float* out) noexcept {
+  const std::size_t pairs = n / 2;
+  for (std::size_t i = 0; i < pairs; ++i) {
+    out[2 * i] = static_cast<float>(codes[i] & 0x0F);
+    out[2 * i + 1] = static_cast<float>(codes[i] >> 4);
+  }
+  if (n & 1) out[n - 1] = static_cast<float>(codes[pairs] & 0x0F);
+}
+
 }  // namespace
 
 void quantize_row_int8(const float* row, std::size_t n, QuantParams p,
@@ -251,6 +262,24 @@ void QuantizedRows::deserialize(const std::uint8_t* in) noexcept {
 const float* QuantizedRows::fp_row(std::size_t r) const noexcept {
   assert(dtype_ == KvDtype::kFp16 && r < rows_);
   return fp_.data() + r * dim_;
+}
+
+void QuantizedRows::unpack_codes(std::size_t n, float* out) const noexcept {
+  assert(dtype_ != KvDtype::kFp16 && n <= rows_);
+  const std::uint8_t* codes = codes_.data();
+  if (dtype_ == KvDtype::kInt8) {
+    // int8 rows are dim bytes each, back to back: one flat conversion.
+    for (std::size_t i = 0; i < n * dim_; ++i) {
+      out[i] = static_cast<float>(codes[i]);
+    }
+  } else if (dim_ % 2 == 0) {
+    // Even-dim int4 rows carry no padding nibble: one flat unpack.
+    unpack_int4(codes, n * dim_, out);
+  } else {
+    for (std::size_t r = 0; r < n; ++r) {
+      unpack_int4(codes + r * row_bytes_, dim_, out + r * dim_);
+    }
+  }
 }
 
 double QuantizedRows::device_bytes() const noexcept {

@@ -98,8 +98,16 @@ class QuantizedRows {
   /// Restores a buffer of identical geometry/dtype from serialize() output.
   void deserialize(const std::uint8_t* in) noexcept;
 
-  /// Direct fp32 access when dtype == kFp16 (hot-path shortcut).
+  /// Direct fp32 access when dtype == kFp16 (hot-path shortcut). Rows are
+  /// contiguous: fp_row(r + 1) == fp_row(r) + dim.
   const float* fp_row(std::size_t r) const noexcept;
+
+  /// Writes the integer codes of rows [0, n) as floats into `out`
+  /// (n x dim, row-major, natural channel order; int4 nibbles unpacked)
+  /// WITHOUT applying the per-row (scale, zero_point):
+  /// x = (code - zero_point) * scale is left to the caller, so a kernel can
+  /// fold the pair in after its dot products. int8/int4 only.
+  void unpack_codes(std::size_t n, float* out) const noexcept;
 
   QuantParams params(std::size_t r) const noexcept { return params_[r]; }
 

@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "baselines/baseline_engines.hpp"
+#include "net/server.hpp"
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/step_tracer.hpp"
@@ -323,6 +326,39 @@ serve::Request make_request(std::size_t prompt_len, std::size_t new_tokens) {
   }
   req.max_new_tokens = new_tokens;
   return req;
+}
+
+// Doc drift: every series family the scheduler and the HTTP server register
+// on one shared registry (the lserve_serve wiring) is named in
+// docs/OBSERVABILITY.md.
+TEST(SchedulerObs, EveryRegisteredSeriesIsDocumented) {
+  serve::Engine engine(engine_cfg());
+  MetricsRegistry reg;
+  serve::SchedulerConfig sc;
+  sc.metrics = &reg;
+  serve::Scheduler sched(engine, sc);
+  net::ServerConfig server_cfg;
+  server_cfg.metrics = &reg;
+  const net::HttpServer server(sched, server_cfg);
+
+  std::ifstream in(std::string(LSERVE_DOCS_DIR) + "/OBSERVABILITY.md");
+  ASSERT_TRUE(in) << "cannot read " << LSERVE_DOCS_DIR << "/OBSERVABILITY.md";
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string doc = text.str();
+
+  std::istringstream exposition(reg.expose_prometheus());
+  std::size_t families = 0;
+  for (std::string line; std::getline(exposition, line);) {
+    if (line.rfind("# TYPE ", 0) != 0) continue;
+    const std::string name = line.substr(7, line.find(' ', 7) - 7);
+    ++families;
+    // As a code span, whole: `name` or `name{labels}`.
+    EXPECT_TRUE(doc.find("`" + name + "`") != std::string::npos ||
+                doc.find("`" + name + "{") != std::string::npos)
+        << name << " is registered but missing from docs/OBSERVABILITY.md";
+  }
+  EXPECT_GE(families, 30u);  // scheduler + server families were exposed
 }
 
 TEST(SchedulerObs, DeterministicTtftTpotQueueWaitAndE2eViaFakeClock) {

@@ -161,7 +161,9 @@ TEST_P(SubsetDecode, MatchesMaskedReference) {
   std::vector<float> q(d);
   rng.fill_gaussian(q, 1.0f);
   std::vector<float> out(d);
-  attn::sparse_paged_decode(alloc, table, n, q.data(), d, 0.25f, out.data());
+  attn::sparse_paged_decode(alloc, table, n,
+                            num::ConstMatView{q.data(), 1, d, d}, 0.25f,
+                            num::MatView{out.data(), 1, d, d});
 
   std::vector<float> scores;
   for (std::size_t t : tokens) {

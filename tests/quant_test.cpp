@@ -125,6 +125,33 @@ INSTANTIATE_TEST_SUITE_P(AllDtypes, QuantizedRowsParam,
                          ::testing::Values(KvDtype::kFp16, KvDtype::kInt8,
                                            KvDtype::kInt4));
 
+// unpack_codes hands a kernel the raw codes of a row block; applying each
+// row's (code - zero_point) * scale must reproduce load_row bit for bit,
+// including odd dims (an int4 row then ends in a half-used byte).
+TEST(QuantizedRows, UnpackCodesThenParamsEqualsLoadRow) {
+  for (const KvDtype dtype : {KvDtype::kInt8, KvDtype::kInt4}) {
+    for (const std::size_t dim : {std::size_t{16}, std::size_t{17}}) {
+      const std::size_t rows = 6;
+      QuantizedRows buf(rows, dim, dtype);
+      for (std::size_t r = 0; r < rows; ++r) {
+        buf.store_row(r, random_row(dim, 2.0f, 90 + r).data());
+      }
+      std::vector<float> codes(rows * dim), back(dim);
+      buf.unpack_codes(rows, codes.data());
+      for (std::size_t r = 0; r < rows; ++r) {
+        buf.load_row(r, back.data());
+        const QuantParams p = buf.params(r);
+        for (std::size_t c = 0; c < dim; ++c) {
+          const float code = codes[r * dim + c];
+          EXPECT_EQ(code, std::nearbyint(code));
+          EXPECT_EQ((code - p.zero_point) * p.scale, back[c])
+              << dtype_name(dtype) << " dim " << dim << " row " << r;
+        }
+      }
+    }
+  }
+}
+
 TEST(QuantizedRows, DeviceBytesScaleWithPrecision) {
   const std::size_t rows = 16, dim = 64;
   QuantizedRows fp(rows, dim, KvDtype::kFp16);
