@@ -28,9 +28,8 @@ namespace lserve::bench {
 // Deterministic multi-turn conversations for prefix-cache experiments: every
 // user shares one system prompt, and each turn's prompt is the full history
 // (previous prompt + the engine's actual reply) plus fresh user tokens. The
-// same seed therefore reproduces the same token streams in every process,
-// which is what lets a bench assert bit-identical outputs cache-on vs
-// cache-off. Used by bench/serving_prefix_reuse and examples/multi_turn_chat.
+// same seed reproduces the same token streams in every process. Used by
+// examples/multi_turn_chat.
 // ---------------------------------------------------------------------------
 
 struct ChatWorkloadConfig {

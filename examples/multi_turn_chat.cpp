@@ -4,10 +4,8 @@
 // conversation opens with the same system prompt, and each follow-up turn
 // replays the whole history — the shape of traffic the radix prefix cache
 // (kv/prefix_cache.hpp) exists for. The workload comes from the shared
-// bench generator (bench/common.hpp) so this example and
-// bench/serving_prefix_reuse exercise the identical token streams; here the
-// cache is ON and the per-turn accounting shows follow-up prefills shrink
-// to the fresh suffix.
+// bench generator (bench/common.hpp); the cache is ON and the per-turn
+// accounting shows follow-up prefills shrink to the fresh suffix.
 //
 // Run:  ./examples/multi_turn_chat
 #include <cstdio>
@@ -75,17 +73,15 @@ int main() {
   std::size_t iterations = 0;
   while (scheduler.step()) ++iterations;
 
-  const serve::EngineStats& es = engine.stats();
+  const kv::PrefixCacheStats pc = engine.prefix_cache()->stats();
   std::printf(
       "\ncompleted %zu requests in %zu scheduler iterations\n"
       "prefix cache: %zu hits, %zu prompt tokens served from KV, "
       "%zu COW copies, %zu evictions\n"
       "pages: dense in use=%zu streaming in use=%zu "
       "(cache holds %zu for the next turn)\n",
-      scheduler.results().size(), iterations, es.prefix_hits,
-      es.prefix_tokens_reused, es.prefix_cow_copies, es.prefix_evictions,
-      engine.dense_allocator().pages_in_use(),
-      engine.stream_allocator().pages_in_use(),
-      engine.prefix_cache_pages_held());
+      scheduler.results().size(), iterations, pc.hits, pc.tokens_reused,
+      pc.cow_copies, pc.evictions, engine.dense_allocator().pages_in_use(),
+      engine.stream_allocator().pages_in_use(), pc.pages_held);
   return 0;
 }

@@ -41,6 +41,13 @@ Rules (see docs/CONCURRENCY.md for rationale):
                          PagePin/PageWritePin, and no struct stores a
                          Page pointer/reference member. (Page parameters
                          are fine — the caller's pin covers the callee.)
+  R8  uncalled           Every function a src/ header declares is used:
+                         its name appears somewhere in src/, tests/,
+                         bench/, examples/ or servebench/ other than at a
+                         declaration or definition (comments and string
+                         literals do not count). A function nobody calls
+                         is dead code — delete it. Constructors,
+                         operators and ALL_CAPS macros are not checked.
 
 Exit codes: 0 clean, 1 violations (one `path:line: rule: message` per
 finding).
@@ -89,6 +96,142 @@ RE_NOLINT = re.compile(r"NOLINT(NEXTLINE)?(BEGIN|END)?(\([^)]*\))?(:)?")
 RE_PAGE_BINDING = re.compile(
     r"\b(?:kv::)?Page\s*[&*]\s*\w+\s*=\s*(?P<init>[^;]*)")
 RE_PAGE_MEMBER = re.compile(r"^\s*(?:const\s+)?(?:kv::)?Page\s*[&*]\s*\w+\s*;")
+
+
+# R8: trees searched for a use of each function a src/ header declares.
+USE_TREES = ("src", "tests", "bench", "examples", "servebench")
+SOURCE_SUFFIXES = (".cpp", ".hpp", ".h", ".cc")
+RE_IDENT = re.compile(r"[A-Za-z_]\w*")
+RE_TYPE_NAME = re.compile(r"\b(?:class|struct|union|enum|using)\s+(\w+)")
+# Words that can stand before a call but are never a return type.
+NOT_A_TYPE = frozenset((
+    "return", "else", "throw", "case", "new", "delete", "co_return",
+    "co_yield", "co_await", "do", "goto", "explicit", "operator", "not",
+    "and", "or", "sizeof", "alignof", "typeid", "decltype", "noexcept"))
+KEYWORDS = NOT_A_TYPE | frozenset((
+    "if", "for", "while", "switch", "catch", "static_assert", "alignas",
+    "static_cast", "const_cast", "reinterpret_cast", "dynamic_cast",
+    "defined", "void", "bool", "char", "int", "long", "short", "float",
+    "double", "unsigned", "signed", "auto", "requires", "template",
+    "typename", "const", "volatile", "override", "final", "main"))
+
+
+def strip_code(text: str) -> str:
+    """Whole-file variant for R8: blanks // and /* */ comments, string
+    literals (raw ones too) and char literals, keeping newlines so line
+    numbers survive. A ' after a digit is a digit separator, not a quote."""
+    out: list[str] = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if text.startswith("//", i):
+            i = text.find("\n", i)
+            i = n if i < 0 else i
+        elif text.startswith("/*", i):
+            end = text.find("*/", i + 2)
+            end = n if end < 0 else end + 2
+            out.append("\n" * text.count("\n", i, end))
+            i = end
+        elif text.startswith('R"', i) and (i == 0 or not (
+                text[i - 1].isalnum() or text[i - 1] == "_")):
+            paren = text.find("(", i + 2)
+            close = ")" + text[i + 2:paren] + '"'
+            end = text.find(close, paren)
+            end = n if end < 0 else end + len(close)
+            out.append('""' + "\n" * text.count("\n", i, end))
+            i = end
+        elif c == '"' or (c == "'" and (i == 0 or not (
+                text[i - 1].isalnum() or text[i - 1] == "_"))):
+            j = i + 1
+            while j < n and text[j] != c and text[j] != "\n":
+                j += 2 if text[j] == "\\" else 1
+            out.append(c + c)
+            i = j + 1
+        else:
+            out.append(c)
+            i += 1
+    return "".join(out)
+
+
+def is_declaration(code: str, start: int) -> bool:
+    """True when the name starting at code[start] stands where a function
+    declaration or definition puts it: behind a return type (a word, `>`,
+    `*` or `&`), optionally through a `Class::` qualifier. Member access
+    (`.`, `->`) and every operator or punctuation before it mean a use."""
+    k = start
+    while True:
+        while k > 0 and code[k - 1].isspace():
+            k -= 1
+        if code[k - 2:k] != "::":
+            break
+        k -= 2
+        while k > 0 and code[k - 1].isspace():
+            k -= 1
+        while k > 0 and (code[k - 1].isalnum() or code[k - 1] == "_"):
+            k -= 1
+    if k == 0:
+        return False
+    if code[k - 2:k] in ("->", "&&"):
+        return False
+    if code[k - 1] in "*&>":
+        return True
+    word_end = k
+    while k > 0 and (code[k - 1].isalnum() or code[k - 1] == "_"):
+        k -= 1
+    return word_end > k and code[k:word_end] not in NOT_A_TYPE
+
+
+def next_char(code: str, pos: int) -> str:
+    while pos < len(code) and code[pos].isspace():
+        pos += 1
+    return code[pos] if pos < len(code) else ""
+
+
+def check_uncalled(findings: list[str]) -> None:
+    """R8: functions declared in src/ headers that nothing calls."""
+    files: dict[str, str] = {}
+    for root in USE_TREES:
+        base = REPO / root
+        if base.is_dir():
+            for path in sorted(base.rglob("*")):
+                if path.suffix in SOURCE_SUFFIXES:
+                    text = path.read_text(encoding="utf-8", errors="replace")
+                    files[path.relative_to(REPO).as_posix()] = \
+                        strip_code(text)
+    type_names = {m.group(1) for code in files.values()
+                  for m in RE_TYPE_NAME.finditer(code)}
+
+    def declared(code: str, m: re.Match[str]) -> bool:
+        return next_char(code, m.end()) == "(" and \
+            is_declaration(code, m.start())
+
+    candidates: dict[str, list[str]] = {}
+    for rel, code in files.items():
+        if not (rel.startswith("src/") and rel.endswith(".hpp")):
+            continue
+        # Macro bodies declare nothing (blanked, newlines kept).
+        code = re.sub(r"(?m)^[ \t]*#.*(?:\\\n.*)*$",
+                      lambda m: "\n" * m.group(0).count("\n"), code)
+        for m in RE_IDENT.finditer(code):
+            name = m.group(0)
+            if name in KEYWORDS or name in type_names or \
+                    name.isupper() or not declared(code, m):
+                continue
+            line = code.count("\n", 0, m.start()) + 1
+            candidates.setdefault(name, []).append(f"{rel}:{line}")
+
+    used: set[str] = set()
+    for code in files.values():
+        for m in RE_IDENT.finditer(code):
+            name = m.group(0)
+            if name in candidates and name not in used and \
+                    not declared(code, m):
+                used.add(name)
+    for name in sorted(set(candidates) - used):
+        for site in candidates[name]:
+            findings.append(
+                f"{site}: uncalled: '{name}' is declared but never used in "
+                f"{', '.join(USE_TREES)} (delete it)")
 
 
 def strip_comments_and_strings(line: str) -> str:
@@ -204,6 +347,7 @@ def main() -> int:
                 continue
             n_files += 1
             check_file(path, findings)
+    check_uncalled(findings)
 
     for f in findings:
         print(f)

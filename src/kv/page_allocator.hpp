@@ -265,7 +265,6 @@ class PageAllocator {
   void prefetch(std::span<const SelectedPage> table) const;
 
   bool tiered() const noexcept { return tier_.enabled(); }
-  const TierConfig& tier_config() const noexcept { return tier_; }
   /// Tier telemetry snapshot (zeros when tiering is off). Thread-safe.
   TierStats tier_stats() const noexcept;
 

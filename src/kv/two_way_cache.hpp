@@ -109,9 +109,6 @@ class TwoWayKvCache {
   HeadKind kind(std::size_t layer, std::size_t h) const noexcept {
     return kinds_[layer * kv_heads_ + h];
   }
-  const StreamingConfig& streaming_config() const noexcept {
-    return streaming_cfg_;
-  }
 
   /// Appends one token's K/V for one (layer, head); `dense_alloc` and
   /// `stream_alloc` may be the same pool or distinct pools (LServe uses

@@ -51,7 +51,6 @@ class EventLoop {
   /// Deregisters `fd` (does not close it). Safe from inside a handler,
   /// including the fd's own. Loop-thread only.
   void remove(int fd);
-  bool watched(int fd) const { return fds_.count(fd) != 0; }
 
   /// Enqueues `task` to run on the loop thread and wakes the loop.
   /// Thread-safe; the only cross-thread entry point besides stop().

@@ -58,7 +58,6 @@ class HttpParser {
   void reset();
 
  private:
-  void parse_headers();
   void fail(std::string message);
 
   Limits limits_;

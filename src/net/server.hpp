@@ -93,9 +93,6 @@ class HttpServer {
 
   std::uint16_t port() const noexcept { return port_; }
   serve::Scheduler& scheduler() noexcept { return sched_; }
-  /// Streams the server has accepted but not yet finished (thread-safe,
-  /// approximate between events).
-  std::size_t active_streams() const noexcept { return active_streams_; }
 
  private:
   struct Connection {

@@ -487,7 +487,6 @@ std::size_t Engine::attach_prefix(SequenceId id,
   const std::size_t attached =
       prefix_cache_->attach(prompt, prompt.size() - 1, seq.cache);
   seq.position = attached;
-  refresh_prefix_stats();
   return attached;
 }
 
@@ -498,29 +497,17 @@ void Engine::insert_prefix(SequenceId id,
   assert(tokens.size() <= seq.cache.tokens());
   const kv::PageAuditScope audit(id, "Engine::insert_prefix");
   prefix_cache_->insert(tokens, seq.cache);
-  refresh_prefix_stats();
 }
 
 std::size_t Engine::reclaim_prefix_pages(std::size_t target_pages) {
   if (prefix_cache_ == nullptr || target_pages == 0) return 0;
   const kv::PageAuditScope audit(kv::kAuditNoOwner,
                                  "Engine::reclaim_prefix_pages");
-  const std::size_t freed = prefix_cache_->reclaim(target_pages);
-  refresh_prefix_stats();
-  return freed;
+  return prefix_cache_->reclaim(target_pages);
 }
 
 std::size_t Engine::prefix_cache_pages_held() const {
   return prefix_cache_ == nullptr ? 0 : prefix_cache_->pages_held();
-}
-
-void Engine::refresh_prefix_stats() {
-  if (prefix_cache_ == nullptr) return;
-  const kv::PrefixCacheStats s = prefix_cache_->stats();
-  stats_.prefix_hits = s.hits;
-  stats_.prefix_tokens_reused = s.tokens_reused;
-  stats_.prefix_cow_copies = s.cow_copies;
-  stats_.prefix_evictions = s.evictions;
 }
 
 }  // namespace lserve::serve

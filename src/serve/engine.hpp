@@ -99,12 +99,7 @@ struct EngineStats {
   std::size_t sequences_created = 0;   ///< create_sequence() calls.
   std::size_t sequences_released = 0;  ///< release_sequence() calls — equal
                                        ///< when no sequence is live.
-  /// Prefix-cache counters (mirrored from PrefixCacheStats; all zero when
-  /// the cache is disabled).
-  std::size_t prefix_hits = 0;           ///< attaches reusing >= 1 token.
-  std::size_t prefix_tokens_reused = 0;  ///< prompt tokens skipped.
-  std::size_t prefix_cow_copies = 0;     ///< copy-on-write page copies.
-  std::size_t prefix_evictions = 0;      ///< tree nodes evicted.
+  // Prefix-cache counters live in kv::PrefixCacheStats (prefix_cache()).
 };
 
 /// Long-sequence serving engine with unified sparse attention.
@@ -128,9 +123,6 @@ class Engine {
   /// after a dense stretch never reads stale page choices.
   void set_attention_policy(std::shared_ptr<const AttentionPolicy> policy) {
     policy_ = std::move(policy);
-  }
-  const AttentionPolicy* attention_policy() const noexcept {
-    return policy_.get();
   }
 
   /// Runs the synthetic-calibration gate measurement (DESIGN.md §2) and
@@ -305,9 +297,6 @@ class Engine {
 
   /// Recomputes the selector run/reuse totals from all live sequences.
   void refresh_selector_stats();
-
-  /// Mirrors PrefixCacheStats into stats_ (no-op when disabled).
-  void refresh_prefix_stats();
 
   /// (Re)builds the prefix cache for the current head partition; any
   /// partition change invalidates every cached page set.

@@ -154,39 +154,30 @@ void Scheduler::publish_step_metrics() {
   m_.pages_in_use->set(static_cast<double>(occ.in_use));
   m_.pages_free->set(static_cast<double>(occ.free));
   m_.pages_capacity->set(static_cast<double>(occ.capacity));
-  m_.prefix_pages->set(
-      static_cast<double>(engine_.prefix_cache_pages_held()));
   m_.pages_hot->set(static_cast<double>(occ.hot_in_use));
   m_.pages_cold->set(static_cast<double>(occ.cold_in_use));
+  // Counters whose owner sits below the scheduler are raised to the
+  // owner's cumulative total. Exact because each registry serves one
+  // scheduler (one engine), and owners only ever count up.
+  const auto raise_to = [](obs::Counter* c, std::uint64_t total) {
+    assert(total >= c->value());
+    c->inc(total - c->value());
+  };
+  const kv::PrefixCacheStats prefix = engine_.prefix_cache() == nullptr
+                                          ? kv::PrefixCacheStats{}
+                                          : engine_.prefix_cache()->stats();
+  raise_to(m_.prefix_hits, prefix.hits);
+  raise_to(m_.prefix_tokens, prefix.tokens_reused);
+  m_.prefix_pages->set(static_cast<double>(prefix.pages_held));
+  const EngineStats& es = engine_.stats();
+  raise_to(m_.route_dense, es.decode_dense_steps);
+  raise_to(m_.route_sparse, es.decode_sparse_steps);
   const kv::TierStats tier = engine_.tier_stats();
   m_.cold_bytes->set(static_cast<double>(tier.cold_bytes_in_use));
-  if (tier.demotions > seen_tier_.demotions) {
-    m_.tier_demotions->inc(tier.demotions - seen_tier_.demotions);
-  }
-  if (tier.pin_promotions > seen_tier_.pin_promotions) {
-    m_.tier_pin_promotions->inc(tier.pin_promotions -
-                                seen_tier_.pin_promotions);
-  }
-  if (tier.prefetch_promotions > seen_tier_.prefetch_promotions) {
-    m_.tier_prefetch_promotions->inc(tier.prefetch_promotions -
-                                     seen_tier_.prefetch_promotions);
-  }
-  if (tier.prefetch_requests > seen_tier_.prefetch_requests) {
-    m_.tier_prefetch_requests->inc(tier.prefetch_requests -
-                                   seen_tier_.prefetch_requests);
-  }
-  seen_tier_ = tier;
-  // Route decisions happen inside Engine::decode_batch; mirror the delta
-  // of its cumulative totals into per-route counters once per step.
-  const EngineStats& es = engine_.stats();
-  if (es.decode_dense_steps > seen_dense_steps_) {
-    m_.route_dense->inc(es.decode_dense_steps - seen_dense_steps_);
-    seen_dense_steps_ = es.decode_dense_steps;
-  }
-  if (es.decode_sparse_steps > seen_sparse_steps_) {
-    m_.route_sparse->inc(es.decode_sparse_steps - seen_sparse_steps_);
-    seen_sparse_steps_ = es.decode_sparse_steps;
-  }
+  raise_to(m_.tier_demotions, tier.demotions);
+  raise_to(m_.tier_pin_promotions, tier.pin_promotions);
+  raise_to(m_.tier_prefetch_promotions, tier.prefetch_promotions);
+  raise_to(m_.tier_prefetch_requests, tier.prefetch_requests);
 }
 
 Scheduler::Scheduler(Engine& engine, std::size_t max_batch,
@@ -519,19 +510,9 @@ void Scheduler::admit() {
     // Attach the cached prefix (no-op without a prefix cache): prefill
     // resumes at the first uncached token, which is what turns a shared
     // prefix into a TTFT win.
-    std::size_t attached = 0;
     {
       obs::StepTraceBuilder::Span span = step_trace_.span("prefix_attach");
-      attached = engine_.attach_prefix(run.seq, run.pend.feed());
-    }
-    run.prefill_pos = attached;
-    if (attached > 0) {
-      ++stats_.prefix_hits;
-      stats_.prefix_tokens_reused += attached;
-      if (metrics_ != nullptr) {
-        m_.prefix_hits->inc();
-        m_.prefix_tokens->inc(attached);
-      }
+      run.prefill_pos = engine_.attach_prefix(run.seq, run.pend.feed());
     }
     engine_.begin_prefill(run.seq, run.pend.feed().size());
     run.phase = SequencePhase::kPrefilling;

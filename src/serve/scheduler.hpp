@@ -180,10 +180,6 @@ struct SchedulerStats {
   std::size_t prefill_chunks = 0;       ///< chunks scheduled (≤ 1 per step).
   std::size_t cancelled = 0;            ///< requests ended by cancel().
   std::size_t deadline_exceeded = 0;    ///< requests ended by deadline.
-  std::size_t prefix_hits = 0;          ///< admissions that attached a
-                                        ///< cached prefix.
-  std::size_t prefix_tokens_reused = 0;  ///< prompt tokens skipped at
-                                         ///< admission via the prefix cache.
 };
 
 /// FCFS continuous-batching scheduler over one Engine.
@@ -339,7 +335,8 @@ class Scheduler {
     return clock_ == nullptr ? 0 : clock_->now_ns();
   }
   /// Publishes the per-step gauges (sequences, pages, prefix cache) and
-  /// mirrors the engine's dense/sparse route deltas into counters.
+  /// raises the prefix, route and tier counters to their owners' totals
+  /// (kv::PrefixCacheStats, EngineStats, kv::TierStats).
   void publish_step_metrics();
 
   Engine& engine_;
@@ -394,11 +391,6 @@ class Scheduler {
     obs::Counter* tier_prefetch_promotions = nullptr;
     obs::Counter* tier_prefetch_requests = nullptr;
   } m_;
-  /// Last-seen engine route totals, for per-step delta mirroring.
-  std::size_t seen_dense_steps_ = 0;
-  std::size_t seen_sparse_steps_ = 0;
-  /// Last-seen tier totals (same delta-mirroring scheme).
-  kv::TierStats seen_tier_;
 #if LSERVE_AUDIT_ENABLED
   /// Engine pool occupancy at construction; drain() aborts with the
   /// auditor's who-leaked-what report if it does not return to this.

@@ -116,18 +116,15 @@ void expect_same_outcome(const DrainOutcome& a, const DrainOutcome& b) {
   EXPECT_EQ(a.stats.selector_reuses, b.stats.selector_reuses);
   EXPECT_EQ(a.stats.sequences_created, b.stats.sequences_created);
   EXPECT_EQ(a.stats.sequences_released, b.stats.sequences_released);
-  EXPECT_EQ(a.stats.prefix_hits, b.stats.prefix_hits);
-  EXPECT_EQ(a.stats.prefix_tokens_reused, b.stats.prefix_tokens_reused);
-  EXPECT_EQ(a.stats.prefix_cow_copies, b.stats.prefix_cow_copies);
+  EXPECT_EQ(a.prefix.hits, b.prefix.hits);
+  EXPECT_EQ(a.prefix.tokens_reused, b.prefix.tokens_reused);
+  EXPECT_EQ(a.prefix.cow_copies, b.prefix.cow_copies);
   EXPECT_EQ(a.sched_stats.steps, b.sched_stats.steps);
   EXPECT_EQ(a.sched_stats.admitted, b.sched_stats.admitted);
   EXPECT_EQ(a.sched_stats.preemptions, b.sched_stats.preemptions);
   EXPECT_EQ(a.sched_stats.deferred_admissions,
             b.sched_stats.deferred_admissions);
   EXPECT_EQ(a.sched_stats.prefill_chunks, b.sched_stats.prefill_chunks);
-  EXPECT_EQ(a.sched_stats.prefix_hits, b.sched_stats.prefix_hits);
-  EXPECT_EQ(a.sched_stats.prefix_tokens_reused,
-            b.sched_stats.prefix_tokens_reused);
 }
 
 constexpr std::size_t kThreadMatrix[] = {1, 2, 8};
@@ -212,7 +209,7 @@ TEST(GatedConformance, PrefixCacheOnStaysBitIdentical) {
         run_drain(always_dense_policy(), threads, below_shared,
                   /*page_budget=*/0, /*prefix_cache=*/true);
     expect_same_outcome(gated, dense);
-    EXPECT_GT(gated.stats.prefix_hits, 0u);
+    EXPECT_GT(gated.prefix.hits, 0u);
 
     // Cache on vs cache off: same tokens out of the gated engine, matched
     // by request id (completion order may shift — attaches shorten
@@ -235,7 +232,7 @@ TEST(GatedConformance, PrefixCacheOnStaysBitIdentical) {
         run_drain(always_sparse_policy(), threads, above_shared,
                   /*page_budget=*/0, /*prefix_cache=*/true);
     expect_same_outcome(gated_hi, sparse_hi);
-    EXPECT_GT(gated_hi.stats.prefix_hits, 0u);
+    EXPECT_GT(gated_hi.prefix.hits, 0u);
   }
 }
 

@@ -1,7 +1,8 @@
 // Tests for the network serving front-end (src/net): HTTP parser, JSON
 // field extraction, SSE framing, event loop, and end-to-end loopback
 // serving over HttpServer (streamed generation, disconnect-cancellation
-// with full page reclamation, deadlines, backpressure).
+// with full page reclamation, also under concurrent streams, deadlines,
+// backpressure).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -187,10 +188,21 @@ ServerConfig loopback_cfg() {
   return cfg;
 }
 
-/// Blocking loopback client. Sends `request` and reads until `until` is
-/// seen (or the peer closes / 30s passes); returns everything received.
+/// Occurrences of `what` in `s`.
+std::size_t count_of(const std::string& s, const std::string& what) {
+  std::size_t n = 0;
+  for (std::size_t p = s.find(what); p != std::string::npos;
+       p = s.find(what, p + what.size())) {
+    ++n;
+  }
+  return n;
+}
+
+/// Blocking loopback client. Sends `request` and reads until `until` has
+/// been seen `times` times (or the peer closes / 30s passes), then closes
+/// the socket; returns everything received.
 std::string talk(std::uint16_t port, const std::string& request,
-                 const std::string& until) {
+                 const std::string& until, std::size_t times = 1) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr{};
@@ -206,7 +218,7 @@ std::string talk(std::uint16_t port, const std::string& request,
             static_cast<ssize_t>(request.size()));
   std::string received;
   char buf[4096];
-  while (received.find(until) == std::string::npos) {
+  while (count_of(received, until) < times) {
     const ssize_t n = ::read(fd, buf, sizeof(buf));
     if (n <= 0) break;
     received.append(buf, static_cast<std::size_t>(n));
@@ -285,6 +297,56 @@ TEST(HttpServer, DisconnectMidStreamCancelsAndReclaimsPages) {
   EXPECT_EQ(engine.total_pages_in_use(), 0u);
   EXPECT_EQ(engine.dense_allocator().free_pages(),
             engine.dense_allocator().capacity());
+}
+
+TEST(HttpServer, AbandonedConcurrentStreamsCancelAndReclaimPages) {
+  serve::Engine engine(engine_cfg());
+  serve::Scheduler sched(engine, 8);
+  HttpServer server(sched, loopback_cfg());
+  const std::uint16_t port = server.start();
+
+  // Six concurrent streams; every third client hangs up after its second
+  // token event, hundreds of tokens before its request would finish.
+  constexpr std::size_t kStreams = 6;
+  const auto abandoned = [](std::size_t i) { return i % 3 == 2; };
+  std::vector<std::string> streams(kStreams);
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < kStreams; ++i) {
+    clients.emplace_back([&, i] {
+      const std::string body =
+          "{\"prompt_len\":16,\"seed\":" + std::to_string(i) +
+          ",\"max_new_tokens\":" + (abandoned(i) ? "512" : "12") + "}";
+      streams[i] = abandoned(i)
+                       ? talk(port, post_generate(body), "event: token", 2)
+                       : talk(port, post_generate(body), "event: done");
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (sched.live_requests() > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(sched.live_requests(), 0u);
+  server.stop();
+
+  std::size_t n_abandoned = 0;
+  for (std::size_t i = 0; i < kStreams; ++i) {
+    SCOPED_TRACE("stream " + std::to_string(i));
+    if (abandoned(i)) {
+      ++n_abandoned;
+      EXPECT_GE(count_of(streams[i], "event: token"), 2u);
+      EXPECT_EQ(streams[i].find("event: done"), std::string::npos);
+    } else {
+      EXPECT_NE(streams[i].find("\"status\":\"FINISHED\""),
+                std::string::npos);
+    }
+  }
+  // Read stats only after stop() joined the scheduler thread.
+  EXPECT_EQ(sched.scheduler_stats().cancelled, n_abandoned);
+  EXPECT_EQ(engine.total_pages_in_use(), 0u);
 }
 
 TEST(HttpServer, DeadlineSurfacesInTerminalEvent) {

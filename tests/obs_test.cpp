@@ -3,12 +3,14 @@
 // quantile semantics, the Prometheus exposition golden format, the step
 // tracer ring, deterministic wall-clock telemetry through an injected
 // FakeClock, the telemetry-never-changes-scheduling bit-identity pin, and
-// the mirrored prefix-counter consistency regression
-// (EngineStats::prefix_* vs SchedulerStats::prefix_* vs PrefixCacheStats).
+// the per-step export of counters owned by the prefix cache, the engine
+// and the tier store.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -517,13 +519,13 @@ TEST(SchedulerObs, MetricsOnAndOffDrainBitIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Mirrored prefix counters: the same numbers must be visible at every
-// layer — PrefixCacheStats (source of truth), EngineStats::prefix_*
-// (engine mirror), SchedulerStats::prefix_* (admission-side count), and
-// the lserve_prefix_* metrics — across a workload that exercises hits,
-// copy-on-write divergence, eviction, and preemption together.
+// Counters owned below the scheduler — kv::PrefixCacheStats, the route
+// split in EngineStats, kv::TierStats — are exported by raising each
+// registry series to its owner's total once per step. The workload moves
+// all of them: prefix hits, copy-on-write divergence, eviction,
+// preemption, both decode routes and tier demotions.
 
-serve::EngineConfig prefix_cfg() {
+serve::EngineConfig export_cfg() {
   serve::EngineConfig cfg = baselines::lserve_config(model::tiny());
   cfg.dense_pages.page_size = 8;
   cfg.dense_pages.logical_page_size = 4;
@@ -533,24 +535,29 @@ serve::EngineConfig prefix_cfg() {
   cfg.pool_pages = 1024;
   cfg.enable_prefix_cache = true;
   cfg.memory.prefix_cache_pages = 24;  // tight tree budget: forces evictions.
+  cfg.memory.hot_pages = 8;            // tight hot tier: forces demotions.
+  // Contexts 33..37 decode dense below 36 tokens and sparse from 36 on.
+  cfg.policy = std::make_shared<serve::CostModelGatedPolicy>("split", 36);
   return cfg;
 }
 
-TEST(SchedulerObs, PrefixCountersMirrorAcrossAllLayers) {
-  serve::Engine engine(prefix_cfg());
+TEST(SchedulerObs, OwnerCountersExportedEveryStep) {
+  serve::Engine engine(export_cfg());
   MetricsRegistry reg;
   serve::SchedulerConfig sc;
   sc.max_batch = 2;
-  sc.memory.page_budget = 40;  // forces preemption alongside the cache traffic.
+  sc.memory.page_budget = 24;  // forces preemption alongside the cache.
   sc.metrics = &reg;
   sc.clock = std::make_shared<FakeClock>();
   serve::Scheduler sched(engine, sc);
+  const kv::PrefixCache& cache = *engine.prefix_cache();
+  const auto counter = [&](const char* name) {
+    return reg.find_counter(name)->value();
+  };
 
-  // Four rounds of requests sharing only the first 5 tokens, then
-  // diverging. 5 is mid-page (page size 8) and inside the sink window, so
-  // a later request attaching the shared prefix gets a partial-page tail —
-  // the copy-on-write path. The divergent bulk plus the tight tree budget
-  // forces evictions; the tight page budget forces preemptions.
+  // Requests share only their first 5 tokens, then diverge. 5 is mid-page
+  // (page size 8) and inside the sink window, so a later request attaching
+  // the shared prefix gets a partial-page tail: the copy-on-write path.
   std::vector<std::int32_t> shared(5);
   for (std::size_t i = 0; i < shared.size(); ++i) {
     shared[i] = static_cast<std::int32_t>((3 + 7 * i) % 251);
@@ -566,37 +573,53 @@ TEST(SchedulerObs, PrefixCountersMirrorAcrossAllLayers) {
       req.max_new_tokens = 6;
       sched.submit(req);
     }
-    sched.drain();
+    while (sched.step()) {
+      const kv::PrefixCacheStats prefix = cache.stats();
+      const serve::EngineStats& es = engine.stats();
+      ASSERT_EQ(counter("lserve_prefix_hits_total"), prefix.hits);
+      ASSERT_EQ(counter("lserve_prefix_tokens_reused_total"),
+                prefix.tokens_reused);
+      ASSERT_EQ(counter("lserve_decode_route_steps_total{route=\"dense\"}"),
+                es.decode_dense_steps);
+      ASSERT_EQ(
+          counter("lserve_decode_route_steps_total{route=\"sparse\"}"),
+          es.decode_sparse_steps);
+    }
   }
 
-  const kv::PrefixCacheStats cache = engine.prefix_cache()->stats();
-  const serve::EngineStats& es = engine.stats();
-  const serve::SchedulerStats& ss = sched.scheduler_stats();
-
-  // The workload genuinely mixed all four behaviours.
-  EXPECT_GT(cache.hits, 0u);
-  EXPECT_GT(cache.cow_copies, 0u);
-  EXPECT_GT(cache.evictions, 0u);
-  EXPECT_GT(ss.preemptions, 0u);
-
-  // Engine mirrors the cache exactly.
-  EXPECT_EQ(es.prefix_hits, cache.hits);
-  EXPECT_EQ(es.prefix_tokens_reused, cache.tokens_reused);
-  EXPECT_EQ(es.prefix_cow_copies, cache.cow_copies);
-  EXPECT_EQ(es.prefix_evictions, cache.evictions);
-
-  // Scheduler-side admission counters agree (every attach goes through
-  // admission in this workload).
-  EXPECT_EQ(ss.prefix_hits, cache.hits);
-  EXPECT_EQ(ss.prefix_tokens_reused, cache.tokens_reused);
-
-  // And the exported metrics agree with all of the above.
-  EXPECT_EQ(reg.find_counter("lserve_prefix_hits_total")->value(),
-            cache.hits);
-  EXPECT_EQ(reg.find_counter("lserve_prefix_tokens_reused_total")->value(),
-            cache.tokens_reused);
+  // The workload genuinely mixed every behaviour.
+  const kv::PrefixCacheStats prefix = cache.stats();
+  EXPECT_GT(prefix.hits, 0u);
+  EXPECT_GT(prefix.cow_copies, 0u);
+  EXPECT_GT(prefix.evictions, 0u);
+  EXPECT_GT(sched.scheduler_stats().preemptions, 0u);
+  EXPECT_GT(engine.stats().decode_dense_steps, 0u);
+  EXPECT_GT(engine.stats().decode_sparse_steps, 0u);
   EXPECT_EQ(reg.find_gauge("lserve_prefix_cache_pages_held")->value(),
-            static_cast<double>(engine.prefix_cache_pages_held()));
+            static_cast<double>(prefix.pages_held));
+
+  // The background prefetcher can move the tier totals between publishes:
+  // wait until they hold still for 20 ms, then let one more step publish
+  // them.
+  kv::TierStats tier = engine.tier_stats();
+  for (int quiet = 0, spins = 0; quiet < 20 && spins < 2000; ++spins) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const kv::TierStats now = engine.tier_stats();
+    const bool same = now.demotions == tier.demotions &&
+                      now.pin_promotions == tier.pin_promotions &&
+                      now.prefetch_promotions == tier.prefetch_promotions &&
+                      now.prefetch_requests == tier.prefetch_requests;
+    quiet = same ? quiet + 1 : 0;
+    tier = now;
+  }
+  sched.step();
+  EXPECT_GT(tier.demotions, 0u);
+  EXPECT_EQ(counter("lserve_tier_demotions_total"), tier.demotions);
+  EXPECT_EQ(counter("lserve_tier_pin_promotions_total"), tier.pin_promotions);
+  EXPECT_EQ(counter("lserve_tier_prefetch_promotions_total"),
+            tier.prefetch_promotions);
+  EXPECT_EQ(counter("lserve_tier_prefetch_requests_total"),
+            tier.prefetch_requests);
 }
 
 }  // namespace

@@ -87,6 +87,7 @@ struct DrainOutcome {
   std::vector<RequestResult> results;
   EngineStats stats;
   SchedulerStats sched_stats;
+  kv::PrefixCacheStats prefix;  ///< all zero when the cache is off.
 };
 
 /// Submits `load` against a fresh engine + scheduler carrying `policy`
@@ -114,6 +115,9 @@ inline DrainOutcome run_drain(std::shared_ptr<const AttentionPolicy> policy,
   out.results = sched.drain();
   out.stats = engine.stats();
   out.sched_stats = sched.scheduler_stats();
+  if (engine.prefix_cache() != nullptr) {
+    out.prefix = engine.prefix_cache()->stats();
+  }
   return out;
 }
 

@@ -126,7 +126,7 @@ TEST(PrefixCacheCow, MidPageDivergenceCopiesAndStaysExact) {
   // Seed the tree: 21-token prompt (page_size 8 -> partial tail of 5).
   const std::vector<std::int32_t> a = prompt_ids(21);
   run_turn(eng, a, 4);
-  const std::size_t cow_seed = eng.stats().prefix_cow_copies;
+  const std::size_t cow_seed = eng.prefix_cache()->stats().cow_copies;
 
   // B shares 18 tokens — two full pages plus 2 tokens into page 2 — then
   // diverges mid-page.
@@ -138,7 +138,7 @@ TEST(PrefixCacheCow, MidPageDivergenceCopiesAndStaysExact) {
   const TurnResult got = run_turn(eng, b, 4);
   EXPECT_EQ(want, got.output);
   EXPECT_GT(got.reused, 0u);
-  EXPECT_GT(eng.stats().prefix_cow_copies, cow_seed);
+  EXPECT_GT(eng.prefix_cache()->stats().cow_copies, cow_seed);
 }
 
 // Insert-time LRU eviction keeps the tree at its page budget without
@@ -158,7 +158,7 @@ TEST(PrefixCacheEviction, BudgetHoldsAndSurvivorsStayExact) {
     run_turn(eng, prompt, 3);
     EXPECT_LE(eng.prefix_cache_pages_held(), 24u);
   }
-  EXPECT_GT(eng.stats().prefix_evictions, 0u);
+  EXPECT_GT(eng.prefix_cache()->stats().evictions, 0u);
 
   // The most recent conversation (LRU survivor) still replays exactly.
   const std::vector<std::int32_t> prompt = prompt_ids(21, 23 * 4 + 1);
@@ -205,7 +205,7 @@ std::vector<std::vector<std::int32_t>> sched_outputs(bool cache_on,
   sched.drain();
   if (cache_on) {
     // Later admissions ride the prefix the earlier retirements inserted.
-    EXPECT_GT(sched.scheduler_stats().prefix_hits, 0u);
+    EXPECT_GT(eng.prefix_cache()->stats().hits, 0u);
   }
   return outs;
 }
