@@ -58,7 +58,7 @@ int main() {
     const double total_us = bench::time_us([&] {
       reuse.reset();
       for (std::size_t t = 0; t < steps; ++t) {
-        reuse.get(0, t, [&] {
+        reuse.get(0, t, head.pages(), [&] {
           return sparse::select_pages_hierarchical(alloc, head, q.data(),
                                                    cfg);
         });

@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the hot kernels: block-sparse
-// prefill (iterator vs branchy vs dense), paged sparse decode (full vs
-// pruned vs streaming tables), quantized load paths, and selector scoring.
+// prefill (iterator vs branchy vs dense), the paged walk on a prefill chunk
+// and on decode steps (full vs pruned tables), quantized load paths, and
+// selector scoring.
 //
 // These complement the table-generating benches with statistically
 // rigorous per-kernel timings (use --benchmark_filter=... to narrow).
@@ -10,6 +11,7 @@
 
 #include "attn/block_sparse_prefill.hpp"
 #include "attn/decode_attention.hpp"
+#include "attn/fused_attention.hpp"
 #include "eval/metrics.hpp"
 #include "model/workload.hpp"
 #include "numeric/quant.hpp"
@@ -158,6 +160,43 @@ void BM_DecodeInt4GroupSelected(benchmark::State& state) {
   for (auto _ : state) fix.decode(table, 1.0f / std::sqrt(32.0f));
 }
 BENCHMARK(BM_DecodeInt4GroupSelected);
+
+// A prefill chunk at the served geometry: int4 pages of 64 tokens /
+// 16-token logical pages, head_dim 32, a GQA group of 2, one 128-row chunk
+// after 3456 history tokens. One iteration is one dense kv head's chunk
+// attention (four (query head, 64-row q-tile) tasks), run serially.
+void BM_PrefillChunkInt4Group(benchmark::State& state) {
+  constexpr std::size_t kHistory = 3456, kChunk = 128, kDim = 32, kGroup = 2;
+  kv::PageConfig pc;
+  pc.page_size = 64;
+  pc.logical_page_size = 16;
+  pc.head_dim = kDim;
+  pc.dtype = num::KvDtype::kInt4;
+  kv::PageAllocator alloc(pc, (kHistory + kChunk) / 64 + 2);
+  kv::TwoWayKvCache cache(1, 1, {kv::HeadKind::kDense}, {});
+  model::StreamConfig sc;
+  sc.n_tokens = kHistory + kChunk;
+  sc.head_dim = kDim;
+  const model::TokenStream stream = model::smooth_stream(sc);
+  for (std::size_t t = 0; t < sc.n_tokens; ++t) {
+    cache.append(alloc, alloc, 0, 0, stream.keys.row(t),
+                 stream.values.row(t));
+  }
+  num::Rng rng(11);
+  num::Tensor q(kChunk, kGroup * kDim), chunk_kv(kChunk, kDim),
+      out(kChunk, kGroup * kDim);
+  for (std::size_t i = 0; i < q.size(); ++i) q.data()[i] = rng.gaussian();
+  attn::FusedPrefillConfig cfg;
+  cfg.total_tokens = sc.n_tokens;
+  for (auto _ : state) {
+    attn::fused_chunked_prefill(alloc, alloc, cache, 0, q.view(),
+                                chunk_kv.view(), chunk_kv.view(), kDim, cfg,
+                                out.view());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PrefillChunkInt4Group)->Unit(benchmark::kMillisecond);
 
 void BM_SelectorFlat(benchmark::State& state) {
   DecodeFixture fix(state.range(0), num::KvDtype::kFp16);

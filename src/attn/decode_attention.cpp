@@ -49,17 +49,20 @@ void accumulate_rows(const float* w, const float* rows, std::size_t count,
 
 }  // namespace
 
-void sparse_paged_decode(const kv::PageAllocator& alloc,
-                         const kv::SelectedPageTable& table,
-                         std::size_t seq_tokens, num::ConstMatView q,
-                         float scale, num::MatView out, float* lse_out,
-                         DecodeWorkStats* stats) {
+void sparse_paged_attention(const kv::PageAllocator& alloc,
+                            std::span<const PageSpan> spans,
+                            std::span<const std::size_t> row_end,
+                            num::ConstMatView q, float scale,
+                            num::MatView out, float* lse_out,
+                            DecodeWorkStats* stats) {
   const std::size_t d = q.cols;
   const std::size_t rows = q.rows;
   assert(d == alloc.config().head_dim);
-  assert(out.rows == rows && out.cols == d);
+  assert(out.rows == rows && out.cols == d && row_end.size() == rows);
   const std::size_t page_size = alloc.config().page_size;
   const bool quantized = alloc.config().dtype != num::KvDtype::kFp16;
+  const std::size_t last_end =
+      rows == 0 ? 0 : *std::max_element(row_end.begin(), row_end.end());
 
   // Per-row running state: max, normalizer, zero-point bias and the
   // un-normalized V accumulation in code space.
@@ -76,36 +79,36 @@ void sparse_paged_decode(const kv::PageAllocator& alloc,
     q_sum[r] = s;
   }
 
-  // Per-page scratch, shared by the group: unpacked codes (quantized
-  // pools only) and one row's scores / V weights.
+  // Per-page scratch, shared by the rows: unpacked codes (quantized pools
+  // only) and one row's scores / V weights.
   std::vector<float> k_codes(quantized ? page_size * d : 0);
   std::vector<float> v_codes(quantized ? page_size * d : 0);
   std::vector<float> score(page_size), weight(page_size);
 
-  for (const kv::SelectedPage& entry : table) {
+  // Caps a span's slot end `hi` at a row's causal end, in absolute tokens.
+  const auto clip = [](std::size_t hi, std::size_t end, std::size_t base) {
+    return std::min(hi, end > base ? end - base : 0);
+  };
+  for (const PageSpan& entry : spans) {
+    const std::size_t base =
+        static_cast<std::size_t>(entry.block) * page_size;
+    const std::size_t lo = entry.begin;
+    std::size_t hi = clip(entry.end, last_end, base);
+    if (hi <= lo) continue;
     const kv::PagePin pin = alloc.pin(entry.page);
     const kv::Page& page = pin.page();
-    // Tokens live in this block: full pages hold page_size tokens, the
-    // trailing block holds the remainder. For streaming-head ring pages the
-    // page's own fill count is authoritative.
-    const std::size_t begin =
-        static_cast<std::size_t>(entry.block) * page_size;
-    std::size_t count = seq_tokens > begin ? seq_tokens - begin : 0;
-    if (count > page_size) count = page_size;
-    if (count > page.size()) count = page.size();
-    if (stats != nullptr) {
-      stats->pages_visited += rows;
-      stats->tokens_visited += rows * count;
-    }
-    if (count == 0) continue;
+    // For streaming-head ring pages the page's own fill count is
+    // authoritative.
+    hi = std::min(hi, page.size());
+    if (hi <= lo) continue;
 
     const num::QuantizedRows& keys = page.keys();
     const num::QuantizedRows& values = page.values();
     const float* k_rows = nullptr;
     const float* v_rows = nullptr;
     if (quantized) {
-      keys.unpack_codes(count, k_codes.data());
-      values.unpack_codes(count, v_codes.data());
+      keys.unpack_codes(hi, k_codes.data());
+      values.unpack_codes(hi, v_codes.data());
       k_rows = k_codes.data();
       v_rows = v_codes.data();
     } else {
@@ -115,16 +118,22 @@ void sparse_paged_decode(const kv::PageAllocator& alloc,
     // fp16-modelled rows carry (scale 1, zero 0), which makes the
     // code-space terms below exact no-ops.
     for (std::size_t r = 0; r < rows; ++r) {
+      const std::size_t end = clip(hi, row_end[r], base);
+      if (end <= lo) continue;
+      if (stats != nullptr) {
+        ++stats->pages_visited;
+        stats->tokens_visited += end - lo;
+      }
       // q·k = s·(q·c − z·Σq) for k = (c − z)·s.
       const float* qr = q.row(r);
       float page_max = kNegInf;
-      for (std::size_t t = 0; t < count; ++t) {
+      for (std::size_t t = lo; t < end; ++t) {
         const num::QuantParams p = keys.params(t);
         const float dot = lane_dot(qr, k_rows + t * d, d);
         score[t] = scale * p.scale * (dot - p.zero_point * q_sum[r]);
         page_max = std::max(page_max, score[t]);
       }
-      // One rescale per page: move the running max to the page max.
+      // One rescale per span: move the running max to the span max.
       const float new_max = std::max(row_max[r], page_max);
       const float c = std::exp(row_max[r] - new_max);
       float* acc_r = acc.data() + r * d;
@@ -136,7 +145,7 @@ void sparse_paged_decode(const kv::PageAllocator& alloc,
       // row's bias, subtracted once at the end.
       float norm = row_norm[r];
       float bias = row_bias[r];
-      for (std::size_t t = 0; t < count; ++t) {
+      for (std::size_t t = lo; t < end; ++t) {
         const num::QuantParams vp = values.params(t);
         const float p = std::exp(score[t] - new_max);
         norm += p;
@@ -145,7 +154,8 @@ void sparse_paged_decode(const kv::PageAllocator& alloc,
       }
       row_norm[r] = norm;
       row_bias[r] = bias;
-      accumulate_rows(weight.data(), v_rows, count, d, acc_r);
+      accumulate_rows(weight.data() + lo, v_rows + lo * d, end - lo, d,
+                      acc_r);
     }
   }
 
@@ -165,6 +175,23 @@ void sparse_paged_decode(const kv::PageAllocator& alloc,
                                       : kNegInf;
     }
   }
+}
+
+void sparse_paged_decode(const kv::PageAllocator& alloc,
+                         const kv::SelectedPageTable& table,
+                         std::size_t seq_tokens, num::ConstMatView q,
+                         float scale, num::MatView out, float* lse_out,
+                         DecodeWorkStats* stats) {
+  const auto page_size =
+      static_cast<std::uint32_t>(alloc.config().page_size);
+  std::vector<PageSpan> spans;
+  spans.reserve(table.size());
+  for (const kv::SelectedPage& e : table) {
+    spans.push_back({e.page, e.block, 0, page_size});
+  }
+  const std::vector<std::size_t> row_end(q.rows, seq_tokens);
+  sparse_paged_attention(alloc, spans, row_end, q, scale, out, lse_out,
+                         stats);
 }
 
 }  // namespace lserve::attn

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <functional>
 
 #include "model/workload.hpp"
 #include "numeric/math.hpp"
@@ -196,8 +197,10 @@ attn::FusedDecodeConfig Engine::decode_config(AttentionRoute route) const {
   return dc;
 }
 
-void Engine::forward_prefill(Sequence& seq, num::Tensor& hidden,
-                             std::size_t pos0) {
+void Engine::forward_prefill(SequenceId id, num::Tensor& hidden,
+                             ThreadPool* pool) {
+  Sequence& seq = *sequences_[id];
+  const std::size_t pos0 = seq.position;
   const std::size_t n = hidden.rows();
   const std::size_t h = cfg_.model.hidden();
   const std::size_t kvd = cfg_.model.kv_dim();
@@ -208,6 +211,30 @@ void Engine::forward_prefill(Sequence& seq, num::Tensor& hidden,
   // attach already covered.
   pc.total_tokens = seq.position + seq.prefill_remaining;
 
+  // Runs fn(i) for every i in [0, count), on the pool when there is one.
+  // The audit scope is thread-local, so each task opens its own.
+  const attn::ParallelFor on_pool =
+      [&](std::size_t count, const std::function<void(std::size_t)>& fn) {
+        const std::function<void(std::size_t)> task = [&](std::size_t i) {
+          const kv::PageAuditScope audit(id, "Engine::prefill_chunk");
+          fn(i);
+        };
+        if (pool != nullptr && pool->size() > 1 && count > 1) {
+          pool->parallel_for(count, task);
+        } else {
+          for (std::size_t i = 0; i < count; ++i) task(i);
+        }
+      };
+  // Row-wise ops over one contiguous row block per pool thread.
+  const std::size_t blocks =
+      std::min(n, pool != nullptr ? pool->size() : std::size_t{1});
+  const auto for_row_blocks = [&](const auto& fn) {
+    on_pool(blocks, [&](std::size_t b) {
+      const std::size_t r0 = n * b / blocks;
+      fn(r0, n * (b + 1) / blocks - r0);
+    });
+  };
+
   num::Tensor normed(n, h);
   num::Tensor q(n, h);
   num::Tensor k(n, kvd);
@@ -215,15 +242,20 @@ void Engine::forward_prefill(Sequence& seq, num::Tensor& hidden,
   num::Tensor attn_out(n, h);
 
   for (std::size_t layer = 0; layer < cfg_.model.layers; ++layer) {
-    tf_.rms_norm(hidden.view(), layer, normed.view());
-    tf_.qkv_project(normed.view(), layer, pos0, q.view(), k.view(), v.view());
+    for_row_blocks([&](std::size_t r0, std::size_t rows) {
+      tf_.rms_norm(hidden.view().rows_slice(r0, rows), layer,
+                   normed.view().rows_slice(r0, rows));
+      tf_.qkv_project(normed.view().rows_slice(r0, rows), layer, pos0 + r0,
+                      q.view().rows_slice(r0, rows),
+                      k.view().rows_slice(r0, rows),
+                      v.view().rows_slice(r0, rows));
+    });
 
-    // KV write-back first (the paper's two quantized write-back kernels),
-    // round-tripping each row through the cache dtype: attention must see
-    // the quantized K/V or a chunk/attach boundary would change numerics
-    // (in-chunk rows raw, history rows dequantized). Streaming eviction
-    // is deferred so early chunk rows can still attend the pages that
-    // were inside the Λ window at the chunk boundary.
+    // KV write-back first (the paper's two quantized write-back kernels):
+    // attention then reads the chunk's own K/V back from the pages, the
+    // same bits a later chunk or a prefix-cache attach reads. Streaming
+    // eviction is deferred so early chunk rows can still attend the pages
+    // that were inside the Λ window at the chunk boundary.
     for (std::size_t t = 0; t < n; ++t) {
       for (std::size_t kvh = 0; kvh < cfg_.model.kv_heads; ++kvh) {
         seq.cache.append_roundtrip(dense_alloc_, stream_alloc_, layer, kvh,
@@ -231,16 +263,18 @@ void Engine::forward_prefill(Sequence& seq, num::Tensor& hidden,
       }
     }
 
-    // Attention over (cached history, in-chunk prefix); with an empty
-    // history this is the ordinary fused block-sparse prefill.
     attn::fused_chunked_prefill(dense_alloc_, stream_alloc_, seq.cache,
                                 layer, q.view(), k.view(), v.view(), d, pc,
-                                attn_out.view());
+                                attn_out.view(), on_pool);
 
     seq.cache.evict_stale(stream_alloc_, layer);
 
-    tf_.output_project(attn_out.view(), layer, hidden.view());
-    tf_.ffn(hidden.view(), layer);
+    for_row_blocks([&](std::size_t r0, std::size_t rows) {
+      const num::MatView hidden_rows = hidden.view().rows_slice(r0, rows);
+      tf_.output_project(attn_out.view().rows_slice(r0, rows), layer,
+                         hidden_rows);
+      tf_.ffn(hidden_rows, layer);
+    });
   }
   stats_.prefill_tokens += n;
 }
@@ -303,13 +337,14 @@ void Engine::begin_prefill(SequenceId id, std::size_t total_tokens) {
 }
 
 std::size_t Engine::prefill_chunk(SequenceId id,
-                                  std::span<const std::int32_t> ids) {
+                                  std::span<const std::int32_t> ids,
+                                  ThreadPool* pool) {
   Sequence& seq = *sequences_[id];
   assert(seq.phase == SequencePhase::kPrefilling);
   assert(!ids.empty() && ids.size() <= seq.prefill_remaining);
   const kv::PageAuditScope audit(id, "Engine::prefill_chunk");
   num::Tensor hidden = tf_.embed(ids);
-  forward_prefill(seq, hidden, seq.position);
+  forward_prefill(id, hidden, pool);
   seq.position += ids.size();
   seq.prefill_remaining -= ids.size();
   if (seq.prefill_remaining == 0) {

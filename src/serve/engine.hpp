@@ -45,8 +45,7 @@ struct EngineConfig {
   attn::PrefillTiling tiling{/*tile_q=*/64, /*tile_k=*/64};
   /// Prefill long prompts in chunks of this many tokens, each attending
   /// to the already-cached history through the paged tables (bounds
-  /// activation memory). 0 = monolithic prefill. For exact streaming-head
-  /// semantics keep chunks <= streaming.local_tokens.
+  /// activation memory). 0 = monolithic prefill.
   std::size_t prefill_chunk_tokens = 0;
   bool dynamic_prefill = false;  ///< MInference-style prefill mask.
   sparse::DynamicPrefillConfig dynamic_prefill_cfg;
@@ -154,8 +153,14 @@ class Engine {
 
   /// Feeds the next chunk of prompt tokens; returns tokens still owed.
   /// The final chunk (return value 0) also computes the first generated
-  /// token, which finish_prefill() returns.
-  std::size_t prefill_chunk(SequenceId id, std::span<const std::int32_t> ids);
+  /// token, which finish_prefill() returns. With a non-null `pool` each
+  /// layer's row-wise linears run over row blocks and its attention over
+  /// (query head, q-tile) tasks on the pool; every row is computed whole
+  /// inside one task, so pages, outputs and stats are bit-identical to the
+  /// serial path at any thread count. KV write-back and streaming eviction
+  /// stay serial, in token order, on the calling thread.
+  std::size_t prefill_chunk(SequenceId id, std::span<const std::int32_t> ids,
+                            ThreadPool* pool = nullptr);
 
   /// Completes an incremental prefill (all tokens fed) and returns the
   /// first generated token (greedy).
@@ -281,9 +286,9 @@ class Engine {
 
  private:
   /// Runs all transformer layers over `hidden` ([n x hidden]) in prefill
-  /// mode, appending K/V to `seq`'s caches. `pos0` is the absolute position
-  /// of row 0.
-  void forward_prefill(Sequence& seq, num::Tensor& hidden, std::size_t pos0);
+  /// mode, appending K/V to sequence `id`'s caches from its current
+  /// position on (see prefill_chunk for `pool`).
+  void forward_prefill(SequenceId id, num::Tensor& hidden, ThreadPool* pool);
   /// One transformer forward in decode mode, on the given attention
   /// route. Work counters go to `work`, never to stats_ — callers merge,
   /// so concurrent decode_one calls on distinct sequences are race-free.

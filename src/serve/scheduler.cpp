@@ -542,7 +542,8 @@ void Scheduler::advance_prefill() {
   const std::size_t count = chunk == 0 ? remaining : std::min(chunk, remaining);
   const std::span<const std::int32_t> ids(feed.data() + target->prefill_pos,
                                           count);
-  const std::size_t left = engine_.prefill_chunk(target->seq, ids);
+  const std::size_t left =
+      engine_.prefill_chunk(target->seq, ids, pool_.get());
   target->prefill_pos += count;
   ++stats_.prefill_chunks;
   if (metrics_ != nullptr) m_.prefill_chunks->inc();

@@ -126,13 +126,13 @@ struct Request {
 /// Scheduler policy knobs.
 struct SchedulerConfig {
   std::size_t max_batch = 8;
-  /// Decode parallelism of each step()'s batch: 1 = serial, >1 = shared
-  /// ThreadPool, 0 = hardware concurrency. Outputs, stats, scheduling
-  /// decisions (admission/preemption use post-join page counts) and
-  /// completion order are bit-identical at any thread count. Allocator-
-  /// level telemetry (PageAllocator::peak_pages_in_use, physical page-id
-  /// assignment) is the exception: it depends on allocation interleaving
-  /// within a batch.
+  /// Parallelism of each step()'s decode batch and prefill chunk: 1 =
+  /// serial, >1 = shared ThreadPool, 0 = hardware concurrency. Outputs,
+  /// stats, scheduling decisions (admission/preemption use post-join page
+  /// counts) and completion order are bit-identical at any thread count.
+  /// Allocator-level telemetry (PageAllocator::peak_pages_in_use, physical
+  /// page-id assignment) is the exception: it depends on allocation
+  /// interleaving within a batch.
   std::size_t decode_threads = 1;
   /// Consolidated memory knobs (kv/memory_config.hpp). The scheduler
   /// consumes memory.page_budget: the combined (dense + streaming) page
@@ -247,7 +247,7 @@ class Scheduler {
 
   std::size_t running() const noexcept { return running_.size(); }
   std::size_t waiting() const noexcept { return waiting_.size(); }
-  /// Decode parallelism (1 when no pool is attached).
+  /// Step parallelism (1 when no pool is attached).
   std::size_t decode_threads() const noexcept {
     return pool_ == nullptr ? 1 : pool_->size();
   }
@@ -341,7 +341,7 @@ class Scheduler {
 
   Engine& engine_;
   SchedulerConfig cfg_;
-  std::unique_ptr<ThreadPool> pool_;  ///< null => serial decode.
+  std::unique_ptr<ThreadPool> pool_;  ///< null => serial step.
   std::deque<Pending> waiting_;
   std::vector<Running> running_;
   std::vector<RequestResult> results_;

@@ -1,7 +1,9 @@
-// Fixed-size worker pool for batch-parallel decode.
+// Fixed-size worker pool for batch-parallel decode and prefill chunks.
 //
-// One pool is shared by a Scheduler across steps; each parallel_for() is a
-// fork/join region over [0, n) with dynamic (atomic-counter) work stealing.
+// One pool is shared by a Scheduler across steps: the decode batch runs one
+// sequence per index, the prefill chunk its row blocks and attention tasks.
+// Each parallel_for() is a fork/join region over [0, n) with dynamic
+// (atomic-counter) work stealing.
 // The calling thread participates, so a pool of size T uses T threads total
 // (T-1 workers + caller) and a pool of size <= 1 degenerates to an inline
 // loop with zero synchronization — the serial path stays the serial path.

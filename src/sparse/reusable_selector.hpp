@@ -7,10 +7,12 @@
 // following steps reuse the cached SelectedPageTable. This cuts selector
 // overhead by the reuse interval (4x by default) — crucial because the
 // selector's cost grows linearly with context while sparse attention itself
-// is constant (Fig 14).
+// is constant (Fig 14). A reused table still covers every page created
+// since its selection, so the decoding token's own key is never dropped.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "kv/page_table.hpp"
@@ -26,8 +28,11 @@ class ReusableSelector {
 
   /// Returns the table for `slot` at decode step `step` (0-based within the
   /// generation), recomputing via `recompute()` only on chunk boundaries.
+  /// `pages` is the head's full page table (logical block -> page): a
+  /// reused table gains the blocks created since its selection.
   template <typename Fn>
   const kv::SelectedPageTable& get(std::size_t slot, std::size_t step,
+                                   std::span<const kv::PageId> pages,
                                    Fn&& recompute) {
     Entry& e = entries_[slot];
     const std::size_t chunk = step / interval_;
@@ -37,8 +42,12 @@ class ReusableSelector {
       e.valid = true;
       ++selector_runs_;
     } else {
+      for (std::size_t b = e.blocks; b < pages.size(); ++b) {
+        e.table.push_back({pages[b], static_cast<std::uint32_t>(b)});
+      }
       ++reuses_;
     }
+    e.blocks = pages.size();
     return e.table;
   }
 
@@ -53,6 +62,7 @@ class ReusableSelector {
  private:
   struct Entry {
     kv::SelectedPageTable table;
+    std::size_t blocks = 0;  ///< head blocks the table has accounted for.
     std::size_t chunk = 0;
     bool valid = false;
   };

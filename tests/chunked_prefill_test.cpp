@@ -1,38 +1,66 @@
-// Tests for chunked prefill (src/attn/chunked_prefill + engine wiring).
+// Tests for chunked prefill: the page walk on a chunk's rows
+// (attn::fused_chunked_prefill) and its engine wiring.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
-#include "attn/chunked_prefill.hpp"
 #include "attn/dense_attention.hpp"
+#include "attn/fused_attention.hpp"
 #include "baselines/baseline_engines.hpp"
+#include "kv_snapshot.hpp"
 #include "numeric/rng.hpp"
 #include "serve/engine.hpp"
 
 namespace lserve {
 namespace {
 
+/// Writes all of k/v into one dense fp16 kv head (pages of `page_size`),
+/// then runs the last `chunk` rows' attention through
+/// fused_chunked_prefill, i.e. the causal span builder and the page walk.
+num::Tensor walk_chunk(const num::Tensor& q, const num::Tensor& k,
+                       const num::Tensor& v, std::size_t page_size,
+                       std::size_t chunk, float scale) {
+  const std::size_t total = q.rows(), d = q.cols(), hist = total - chunk;
+  kv::PageConfig pages;
+  pages.page_size = page_size;
+  pages.logical_page_size = page_size;
+  pages.head_dim = d;
+  kv::PageAllocator alloc(pages, total / page_size + 2);
+  kv::TwoWayKvCache cache(1, 1, {kv::HeadKind::kDense}, {});
+  for (std::size_t t = 0; t < total; ++t) {
+    cache.append(alloc, alloc, 0, 0, k.row(t), v.row(t));
+  }
+  attn::FusedPrefillConfig cfg;
+  cfg.tiling = {page_size, page_size};
+  cfg.scale = scale;
+  num::Tensor out(chunk, d);
+  attn::fused_chunked_prefill(alloc, alloc, cache, 0,
+                              q.view().rows_slice(hist, chunk),
+                              k.view().rows_slice(hist, chunk),
+                              v.view().rows_slice(hist, chunk), d, cfg,
+                              out.view());
+  cache.release(alloc, alloc);
+  return out;
+}
+
+// The walk folds page-blocked, block_sparse_prefill token by token, so
+// they agree to the oracle tolerance rather than bit for bit.
 TEST(ChunkedPrefillKernel, EmptyHistoryEqualsBlockSparsePrefill) {
   const std::size_t n = 64, d = 16;
   num::Rng rng(1);
-  num::Tensor q(n, d), k(n, d), v(n, d), a(n, d), b(n, d);
+  num::Tensor q(n, d), k(n, d), v(n, d), a(n, d);
   for (auto* t : {&q, &k, &v}) {
     for (std::size_t i = 0; i < t->size(); ++i) t->data()[i] = rng.gaussian();
   }
   attn::BlockMask mask = attn::BlockMask::causal(n, 16, 16);
   mask.finalize();
-  kv::PageConfig pages;
-  pages.page_size = 16;
-  pages.logical_page_size = 16;
-  pages.head_dim = d;
-  kv::PageAllocator alloc(pages, 2);
   attn::block_sparse_prefill(q.view(), k.view(), v.view(), mask, {16, 16},
                              0.25f, a.view());
-  attn::chunked_prefill_head(alloc, {}, 0, q.view(), k.view(), v.view(),
-                             mask, {16, 16}, 0.25f, b.view());
+  const num::Tensor b = walk_chunk(q, k, v, 16, n, 0.25f);
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_FLOAT_EQ(a.data()[i], b.data()[i]);
+    EXPECT_NEAR(a.data()[i], b.data()[i], 1e-4f);
   }
 }
 
@@ -47,26 +75,8 @@ TEST(ChunkedPrefillKernel, HistoryPlusChunkEqualsMonolithic) {
   }
   attn::dense_prefill_reference(q.view(), k.view(), v.view(), 0.25f,
                                 mono.view());
-
-  kv::PageConfig pages;
-  pages.page_size = 8;
-  pages.logical_page_size = 8;
-  pages.head_dim = d;
-  kv::PageAllocator alloc(pages, 8);
-  kv::HeadCache head;
-  for (std::size_t t = 0; t < hist; ++t) {
-    head.append(alloc, k.row(t), v.row(t));
-  }
-  const auto history = kv::full_page_table(head.view(alloc));
-
   const std::size_t chunk = total - hist;
-  attn::BlockMask mask = attn::BlockMask::causal(chunk, 8, 8);
-  mask.finalize();
-  num::Tensor out(chunk, d);
-  attn::chunked_prefill_head(
-      alloc, history, hist, q.view().rows_slice(hist, chunk),
-      k.view().rows_slice(hist, chunk), v.view().rows_slice(hist, chunk),
-      mask, {8, 8}, 0.25f, out.view());
+  const num::Tensor out = walk_chunk(q, k, v, 8, chunk, 0.25f);
   for (std::size_t r = 0; r < chunk; ++r) {
     for (std::size_t c = 0; c < d; ++c) {
       EXPECT_NEAR(out.at(r, c), mono.at(hist + r, c), 1e-4f) << "row " << r;
@@ -85,22 +95,7 @@ TEST(ChunkedPrefillKernel, PartialHistoryPageHandled) {
   num::Tensor mono(hist + chunk, d);
   attn::dense_prefill_reference(q.view(), k.view(), v.view(), 0.354f,
                                 mono.view());
-  kv::PageConfig pages;
-  pages.page_size = 8;
-  pages.logical_page_size = 8;
-  pages.head_dim = d;
-  kv::PageAllocator alloc(pages, 8);
-  kv::HeadCache head;
-  for (std::size_t t = 0; t < hist; ++t) head.append(alloc, k.row(t),
-                                                     v.row(t));
-  attn::BlockMask mask = attn::BlockMask::causal(chunk, 8, 8);
-  mask.finalize();
-  num::Tensor out(chunk, d);
-  attn::chunked_prefill_head(alloc, kv::full_page_table(head.view(alloc)),
-                             hist, q.view().rows_slice(hist, chunk),
-                             k.view().rows_slice(hist, chunk),
-                             v.view().rows_slice(hist, chunk), mask, {8, 8},
-                             0.354f, out.view());
+  const num::Tensor out = walk_chunk(q, k, v, 8, chunk, 0.354f);
   for (std::size_t r = 0; r < chunk; ++r) {
     for (std::size_t c = 0; c < d; ++c) {
       EXPECT_NEAR(out.at(r, c), mono.at(hist + r, c), 1e-4f);
@@ -156,6 +151,43 @@ TEST(EngineChunking, StreamingHeadsCoveringConfigStillMatches) {
   const auto ss = sparse.create_sequence();
   EXPECT_EQ(mono.generate(sm, ids, 6), sparse.generate(ss, ids, 6));
 }
+
+// The served preset itself (int4, 64-token pages with 16-token logical
+// pages, 64 sink + 256 local tokens, 64-row tiles): any chunk size, below,
+// at or past the local window, writes the same K/V bits and reads out the
+// same tokens as one monolithic prefill.
+class ServedPresetChunking : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ServedPresetChunking, MatchesMonolithicPrefill) {
+  std::vector<std::int32_t> ids(700);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = static_cast<std::int32_t>((11 * i + 6) % 251);
+  }
+  const auto run = [&](std::size_t chunk, std::vector<float>* kv) {
+    serve::EngineConfig cfg = baselines::lserve_config(model::tiny());
+    cfg.prefill_chunk_tokens = chunk;
+    serve::Engine engine(cfg);
+    const auto seq = engine.create_sequence();
+    std::vector<std::int32_t> out{engine.prefill(seq, ids)};
+    *kv = test::kv_snapshot(engine, seq);
+    for (std::size_t i = 1; i < 6; ++i) {
+      out.push_back(engine.decode(seq, out.back()));
+    }
+    return out;
+  };
+  std::vector<float> mono_kv, chunked_kv;
+  const auto mono = run(0, &mono_kv);
+  const auto chunked = run(GetParam(), &chunked_kv);
+  EXPECT_EQ(mono, chunked) << "chunk=" << GetParam();
+  ASSERT_EQ(mono_kv.size(), chunked_kv.size());
+  EXPECT_EQ(std::memcmp(mono_kv.data(), chunked_kv.data(),
+                        mono_kv.size() * sizeof(float)),
+            0)
+      << "chunk=" << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(ChunkSizes, ServedPresetChunking,
+                         ::testing::Values(1, 13, 64, 128, 320));
 
 TEST(EngineChunking, ChunkedLServeWithRealSparsityIsWellFormed) {
   serve::EngineConfig cfg = baselines::lserve_config(model::tiny());

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <string>
 #include <tuple>
@@ -283,6 +284,49 @@ TEST(FusedDecode, DynamicSelectionBoundsVisitedTokens) {
   EXPECT_EQ(stats.pages_visited, 4u);
 }
 
+// Below the selector budget a selection is the full page table. Reusing it
+// for the rest of a reuse chunk must still cover the pages opened since,
+// the decoding token's own included, so the output equals a full-table
+// decode bit for bit. Pages hold 8 tokens; the start offsets put a page
+// boundary at every step of a reuse chunk.
+TEST(FusedDecode, ReusedSelectionEqualsFullTableBelowBudget) {
+  const std::size_t d = 16, group = 2;
+  for (const std::size_t interval : {1, 2, 4, 8}) {
+    for (std::size_t start = 1; start <= 8; ++start) {
+      kv::PageAllocator dense_alloc(cfg(num::KvDtype::kInt4), 16);
+      kv::PageAllocator stream_alloc(cfg(num::KvDtype::kInt4), 1);
+      kv::TwoWayKvCache cache(1, 1, {kv::HeadKind::kDense}, {8, 16});
+      sparse::ReusableSelector selector(1, interval);
+      FusedDecodeConfig reused;
+      reused.selector.token_budget = 4096;
+      FusedDecodeConfig full;
+      full.dynamic_dense = false;
+      num::Rng rng(40 + start);
+      std::vector<float> k(d), v(d);
+      num::Tensor q(group, d), a(group, d), b(group, d);
+      for (std::size_t step = 0; step < start + 24; ++step) {
+        rng.fill_gaussian(k, 1.0f);
+        rng.fill_gaussian(v, 1.0f);
+        cache.append(dense_alloc, stream_alloc, 0, 0, k.data(), v.data());
+        if (step + 1 < start) continue;  // the prompt
+        const std::size_t decode_step = step + 1 - start;
+        for (std::size_t i = 0; i < q.size(); ++i) {
+          q.data()[i] = rng.gaussian();
+        }
+        fused_sparse_decode(dense_alloc, stream_alloc, cache, 0, q.view(),
+                            group, &selector, decode_step, reused, a.view());
+        fused_sparse_decode(dense_alloc, stream_alloc, cache, 0, q.view(),
+                            group, nullptr, 0, full, b.view());
+        ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)),
+                  0)
+            << "interval " << interval << " start " << start << " step "
+            << decode_step;
+      }
+      cache.release(dense_alloc, stream_alloc);
+    }
+  }
+}
+
 // ---- Group kernel sweep: dtype x group x head_dim x table shape. ----
 
 enum class TableShape { kFull, kPruned, kPartialTail, kStreaming, kEmpty };
@@ -476,6 +520,181 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param)) + "_d" +
              std::to_string(std::get<2>(info.param)) + "_" +
              shape_name(std::get<3>(info.param));
+    });
+
+// ---- Prefill rows of the walk: dtype x group x mask and chunk geometry. ----
+
+enum class PrefillShape { kCausal, kLambda, kPartialTail, kMidPageStart };
+
+const char* prefill_shape_name(PrefillShape s) {
+  switch (s) {
+    case PrefillShape::kCausal:
+      return "causal";
+    case PrefillShape::kLambda:
+      return "lambda";
+    case PrefillShape::kPartialTail:
+      return "partial_tail";
+    case PrefillShape::kMidPageStart:
+      return "mid_page_start";
+  }
+  return "?";
+}
+
+using PrefillParam = std::tuple<num::KvDtype, std::size_t, PrefillShape>;
+
+class PrefillRowSweep : public ::testing::TestWithParam<PrefillParam> {};
+
+// One kv head of a one-layer cache, pages of 8 tokens, q-tiles of 16 rows
+// and k-tiles of 4 tokens. History is written and evicted the way the
+// engine does at a chunk boundary, then the chunk is written with
+// eviction deferred. Shapes (history + chunk tokens):
+//   causal        16 + 24, page- and tile-aligned;
+//   lambda        24 + 24 on a streaming head: 1 sink and 3 local k-tiles,
+//                 so kept tiles split pages;
+//   partial_tail  16 + 27, the chunk ends 3 tokens into a page;
+//   mid_page      21 + 19, the chunk starts mid-page and mid-q-tile.
+TEST_P(PrefillRowSweep, EveryRowMatchesOracleAndOneRowWalk) {
+  const auto [dtype, group, shape] = GetParam();
+  const std::size_t d = 16, page = 8;
+  const std::size_t history = shape == PrefillShape::kLambda        ? 24
+                              : shape == PrefillShape::kMidPageStart ? 21
+                                                                     : 16;
+  const std::size_t total = shape == PrefillShape::kLambda        ? 48
+                            : shape == PrefillShape::kPartialTail ? 43
+                                                                  : 40;
+  const std::size_t n = total - history;
+  const bool streaming = shape == PrefillShape::kLambda;
+  const kv::StreamingConfig window{/*sink_tokens=*/4, /*local_tokens=*/12};
+  FusedPrefillConfig pc;
+  pc.tiling = {/*tile_q=*/16, /*tile_k=*/4};
+  pc.streaming = {/*sink_blocks=*/1, /*local_blocks=*/3};
+  pc.total_tokens = total;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+  pc.scale = scale;
+
+  kv::PageAllocator alloc(GroupCase::geometry(dtype, d), 16);
+  kv::TwoWayKvCache cache(
+      1, 1, {streaming ? kv::HeadKind::kStreaming : kv::HeadKind::kDense},
+      window);
+  num::Rng rng(101 + group);
+  num::Tensor k(total, d), v(total, d), q(total, group * d);
+  for (num::Tensor* t : {&k, &v, &q}) {
+    for (std::size_t i = 0; i < t->size(); ++i) t->data()[i] = rng.gaussian();
+  }
+  // append_roundtrip leaves the stored (dequantized) rows in k/v: the
+  // oracles' inputs.
+  for (std::size_t t = 0; t < total; ++t) {
+    if (t == history) cache.evict_stale(alloc, 0);
+    cache.append_roundtrip(alloc, alloc, 0, 0, k.row(t), v.row(t));
+  }
+
+  num::Tensor fused(n, group * d), reversed(n, group * d);
+  const auto chunk = [&](const num::Tensor& t) {
+    return t.view().rows_slice(history, n);
+  };
+  fused_chunked_prefill(alloc, alloc, cache, 0, chunk(q), chunk(k), chunk(v),
+                        d, pc, fused.view());
+  // Tasks are independent: any run order gives the same bits.
+  const ParallelFor backwards =
+      [](std::size_t count, const std::function<void(std::size_t)>& fn) {
+        for (std::size_t i = count; i-- > 0;) fn(i);
+      };
+  fused_chunked_prefill(alloc, alloc, cache, 0, chunk(q), chunk(k), chunk(v),
+                        d, pc, reversed.view(), backwards);
+  EXPECT_EQ(std::memcmp(fused.data(), reversed.data(),
+                        fused.size() * sizeof(float)),
+            0);
+
+  const kv::SelectedPageTable table =
+      streaming ? cache.streaming_head(0, 0).index_table()
+                : kv::full_page_table(cache.dense_head(0, 0).view(alloc));
+  // Key-tile liveness for absolute row p: all tiles when causal; for Λ, as
+  // BlockMask::streaming decides it for the row's q-tile.
+  const auto keep_tile = [&](std::size_t kb, std::size_t p) {
+    const std::size_t last = std::min((p / 16 + 1) * 16, total) - 1;
+    return !streaming || kb < 1 || kb + 3 > last / 4;
+  };
+  for (std::size_t g = 0; g < group; ++g) {
+    const num::ConstMatView qg = q.view().cols_slice(g * d, d);
+    num::Tensor dense_ref(total, d);
+    attn::dense_prefill_reference(qg, k.view(), v.view(), scale,
+                                  dense_ref.view());
+    for (std::size_t r = 0; r < n; ++r) {
+      const std::size_t p = history + r;
+      // The row on its own: one row, its own causal end, its mask's spans.
+      const std::vector<PageSpan> spans =
+          mask_spans(table, page, p + 1, 0, 4,
+                     [&](std::size_t kb) { return keep_tile(kb, p); });
+      const std::size_t end[1] = {p + 1};
+      std::vector<float> one(d);
+      DecodeWorkStats stats;
+      sparse_paged_attention(alloc, spans, end, qg.rows_slice(p, 1), scale,
+                             num::MatView{one.data(), 1, d, d}, nullptr,
+                             &stats);
+      EXPECT_EQ(std::memcmp(one.data(), fused.row(r) + g * d,
+                            d * sizeof(float)),
+                0)
+          << "row " << p << " head " << g;
+
+      // Oracle: softmax over the kept tokens; work: one page per run of
+      // kept tokens inside a page, one token per kept token.
+      std::vector<double> w;
+      std::vector<std::size_t> tokens;
+      std::size_t runs = 0;
+      double m = -1e30;
+      for (std::size_t j = 0; j <= p; ++j) {
+        if (!keep_tile(j / 4, p)) continue;
+        if (tokens.empty() || tokens.back() + 1 != j || j % page == 0) ++runs;
+        tokens.push_back(j);
+        double s = 0.0;
+        for (std::size_t c = 0; c < d; ++c) {
+          s += double{qg.at(p, c)} * k.at(j, c);
+        }
+        w.push_back(scale * s);
+        m = std::max(m, w.back());
+      }
+      double sum = 0.0;
+      for (double& x : w) sum += (x = std::exp(x - m));
+      for (std::size_t c = 0; c < d; ++c) {
+        double ref = 0.0;
+        for (std::size_t i = 0; i < tokens.size(); ++i) {
+          ref += w[i] / sum * v.at(tokens[i], c);
+        }
+        EXPECT_NEAR(one[c], ref, 1e-4) << "row " << p << " ch " << c;
+        if (!streaming) {
+          EXPECT_NEAR(one[c], dense_ref.at(p, c), 1e-4f) << "row " << p;
+        }
+      }
+      EXPECT_EQ(stats.tokens_visited, tokens.size()) << "row " << p;
+      EXPECT_EQ(stats.pages_visited, runs) << "row " << p;
+      if (!streaming) {
+        EXPECT_EQ(stats.pages_visited, p / page + 1);
+        // A causal prefill row is the decode step at its position.
+        std::vector<float> step(d);
+        sparse_paged_decode(alloc, table, p + 1, qg.rows_slice(p, 1), scale,
+                            num::MatView{step.data(), 1, d, d});
+        EXPECT_EQ(std::memcmp(step.data(), one.data(), d * sizeof(float)), 0)
+            << "row " << p;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DtypeGroupShape, PrefillRowSweep,
+    ::testing::Combine(::testing::Values(num::KvDtype::kFp16,
+                                         num::KvDtype::kInt8,
+                                         num::KvDtype::kInt4),
+                       ::testing::Values(std::size_t{1}, std::size_t{2},
+                                         std::size_t{4}),
+                       ::testing::Values(PrefillShape::kCausal,
+                                         PrefillShape::kLambda,
+                                         PrefillShape::kPartialTail,
+                                         PrefillShape::kMidPageStart)),
+    [](const ::testing::TestParamInfo<PrefillParam>& info) {
+      return std::string(num::dtype_name(std::get<0>(info.param))) + "_g" +
+             std::to_string(std::get<1>(info.param)) + "_" +
+             prefill_shape_name(std::get<2>(info.param));
     });
 
 // int4 rows in [100, 101] store zero points near -1500 in code space, so

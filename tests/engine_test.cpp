@@ -1,12 +1,16 @@
 // Integration tests for the serving engine (src/serve/engine).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
 #include "baselines/baseline_engines.hpp"
+#include "kv_snapshot.hpp"
 #include "serve/engine.hpp"
+#include "serve/thread_pool.hpp"
 
 namespace lserve::serve {
 namespace {
@@ -87,6 +91,47 @@ TEST(Engine, IncrementalPrefillMatchesMonolithic) {
     EXPECT_EQ(ti, tm) << "diverged at decode step " << s;
   }
   EXPECT_EQ(mono.stats().prefill_tokens, inc.stats().prefill_tokens);
+}
+
+TEST(Engine, PooledPrefillChunkBitIdenticalToSerial) {
+  // Pooled prefill splits each chunk's linears into row blocks and its
+  // attention into (query head, q-tile) tasks; every row is still computed
+  // whole inside one task. On the served preset (64-row q-tiles), chunks of
+  // 48/100/37/130 rows start and end mid-tile, and the K/V pages, the
+  // readout and the decode that follows must match the serial path at 2
+  // and 8 threads.
+  const auto ids = prompt_ids(700);
+  const auto run = [&](std::size_t threads, std::vector<float>* kv) {
+    Engine engine(baselines::lserve_config(model::tiny()));
+    ThreadPool pool(threads);
+    const auto seq = engine.create_sequence();
+    engine.begin_prefill(seq, ids.size());
+    const std::size_t chunks[] = {48, 100, 37, 130};
+    for (std::size_t pos = 0, i = 0; pos < ids.size(); ++i) {
+      const std::size_t n = std::min(chunks[i % 4], ids.size() - pos);
+      engine.prefill_chunk(
+          seq, std::span<const std::int32_t>(ids.data() + pos, n),
+          threads > 1 ? &pool : nullptr);
+      pos += n;
+    }
+    std::vector<std::int32_t> out{engine.finish_prefill(seq)};
+    *kv = test::kv_snapshot(engine, seq);
+    for (int s = 0; s < 4; ++s) out.push_back(engine.decode(seq, out.back()));
+    engine.release_sequence(seq);
+    EXPECT_EQ(engine.total_pages_in_use(), 0u);
+    return out;
+  };
+  std::vector<float> serial_kv;
+  const auto serial = run(1, &serial_kv);
+  for (const std::size_t threads : {2, 8}) {
+    std::vector<float> pooled_kv;
+    EXPECT_EQ(run(threads, &pooled_kv), serial) << threads << " threads";
+    ASSERT_EQ(pooled_kv.size(), serial_kv.size());
+    EXPECT_EQ(std::memcmp(pooled_kv.data(), serial_kv.data(),
+                          serial_kv.size() * sizeof(float)),
+              0)
+        << threads << " threads";
+  }
 }
 
 TEST(Engine, EstimateRequestPagesBoundsActualUsage) {

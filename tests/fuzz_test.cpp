@@ -152,7 +152,7 @@ TEST(ReusableSelectorFuzz, ArbitraryStepPatternsNeverReturnStaleSlot) {
   for (int step_trial = 0; step_trial < 500; ++step_trial) {
     const std::size_t slot = rng.next_below(5);
     const std::size_t step = rng.next_below(64);
-    const auto& table = sel.get(slot, step, [&] {
+    const auto& table = sel.get(slot, step, {}, [&] {
       return kv::SelectedPageTable{
           {static_cast<kv::PageId>(slot),
            static_cast<std::uint32_t>(step / 4)}};

@@ -47,7 +47,7 @@ inline EngineConfig gated_cfg() {
   c.tiling = {8, 8};
   c.pool_pages = 512;
   c.selector.token_budget = 64;
-  c.prefill_chunk_tokens = 8;  // <= streaming.local_tokens (exactness).
+  c.prefill_chunk_tokens = 8;
   return c;
 }
 

@@ -17,6 +17,7 @@
 #include "numeric/rng.hpp"
 #include "sparse/hierarchical_selector.hpp"
 #include "sparse/quest_selector.hpp"
+#include "sparse/reusable_selector.hpp"
 
 namespace lserve {
 namespace {
@@ -122,6 +123,51 @@ TEST(SelectorProperty, TopScoringPageAlwaysSelected) {
     EXPECT_TRUE(contains_best) << "seed " << seed;
   }
 }
+
+// ---- Reused selections past the budget keep the newest block. ----
+class ReusedSelectionProperty
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Past the selector budget the hierarchical selector forces the newest
+// page; a table reused for the rest of a reuse chunk must still hold the
+// block of the token being decoded, whatever page size, budget, interval
+// and prompt length.
+TEST_P(ReusedSelectionProperty, EveryTableHoldsTheNewestBlock) {
+  num::Rng rng(GetParam());
+  kv::PageConfig pc;
+  pc.page_size = rng.next_below(2) == 0 ? 8 : 16;
+  pc.logical_page_size = pc.page_size / 2;
+  pc.head_dim = 16;
+  pc.dtype = num::KvDtype::kInt4;
+  kv::PageAllocator alloc(pc, 64);
+  kv::HeadCache head;
+  sparse::PageSelectorConfig sc;
+  sc.token_budget = pc.page_size * (2 + rng.next_below(4));
+  sparse::ReusableSelector selector(1, 1 + rng.next_below(8));
+  const std::size_t prompt = 1 + rng.next_below(64);
+  std::vector<float> k(16), v(16), q(16);
+  for (std::size_t t = 0; t < prompt + 200; ++t) {
+    rng.fill_gaussian(k, 1.0f);
+    rng.fill_gaussian(v, 1.0f);
+    head.append(alloc, k.data(), v.data());
+    if (t + 1 < prompt) continue;
+    rng.fill_gaussian(q, 1.0f);
+    const kv::SelectedPageTable& table =
+        selector.get(0, t + 1 - prompt, head.pages(), [&] {
+          return sparse::select_pages_hierarchical(alloc, head, q.data(), sc);
+        });
+    ASSERT_FALSE(table.empty());
+    EXPECT_EQ(table.back().block, (head.tokens() - 1) / pc.page_size)
+        << "tokens " << head.tokens();
+    for (std::size_t i = 1; i < table.size(); ++i) {
+      ASSERT_LT(table[i - 1].block, table[i].block);
+    }
+  }
+  head.release(alloc);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReusedSelectionProperty,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10));
 
 // ---- Sparse decode == masked dense reference for ANY random subset of
 // pages (the kernel is policy-agnostic). ----

@@ -14,7 +14,7 @@ TEST(ReusableSelector, IntervalOneRecomputesEveryStep) {
   ReusableSelector sel(/*slots=*/1, /*reuse_interval=*/1);
   int calls = 0;
   for (std::size_t step = 0; step < 5; ++step) {
-    sel.get(0, step, [&] {
+    sel.get(0, step, {}, [&] {
       ++calls;
       return table_of(static_cast<std::uint32_t>(step));
     });
@@ -28,7 +28,7 @@ TEST(ReusableSelector, ReusesWithinChunk) {
   ReusableSelector sel(1, 4);
   int calls = 0;
   for (std::size_t step = 0; step < 8; ++step) {
-    const auto& t = sel.get(0, step, [&] {
+    const auto& t = sel.get(0, step, {}, [&] {
       ++calls;
       return table_of(static_cast<std::uint32_t>(step));
     });
@@ -43,7 +43,7 @@ TEST(ReusableSelector, SlotsAreIndependent) {
   ReusableSelector sel(3, 4);
   int calls = 0;
   for (std::size_t slot = 0; slot < 3; ++slot) {
-    sel.get(slot, 0, [&] {
+    sel.get(slot, 0, {}, [&] {
       ++calls;
       return table_of(static_cast<std::uint32_t>(slot));
     });
@@ -51,7 +51,7 @@ TEST(ReusableSelector, SlotsAreIndependent) {
   EXPECT_EQ(calls, 3);
   // Re-query within the chunk: no new calls, correct per-slot tables.
   for (std::size_t slot = 0; slot < 3; ++slot) {
-    const auto& t = sel.get(slot, 2, [&] {
+    const auto& t = sel.get(slot, 2, {}, [&] {
       ++calls;
       return table_of(99);
     });
@@ -67,9 +67,9 @@ TEST(ReusableSelector, ResetInvalidatesCache) {
     ++calls;
     return table_of(7);
   };
-  sel.get(0, 0, recompute);
+  sel.get(0, 0, {}, recompute);
   sel.reset();
-  sel.get(0, 1, recompute);  // same chunk, but cache was dropped
+  sel.get(0, 1, {}, recompute);  // same chunk, but cache was dropped
   EXPECT_EQ(calls, 2);
 }
 
@@ -84,7 +84,7 @@ TEST(ReusableSelector, SelectorRunReductionIsInterval) {
   ReusableSelector sel(1, 4);
   int calls = 0;
   for (std::size_t step = 0; step < 64; ++step) {
-    sel.get(0, step, [&] {
+    sel.get(0, step, {}, [&] {
       ++calls;
       return table_of(0);
     });
@@ -97,7 +97,7 @@ TEST(ReusableSelector, NonZeroStartStepStillWorks) {
   ReusableSelector sel(1, 4);
   int calls = 0;
   for (std::size_t step = 6; step < 10; ++step) {
-    sel.get(0, step, [&] {
+    sel.get(0, step, {}, [&] {
       ++calls;
       return table_of(static_cast<std::uint32_t>(step));
     });
