@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks for the hot kernels: block-sparse
 // prefill (iterator vs branchy vs dense), the paged walk on a prefill chunk
-// and on decode steps (full vs pruned tables), quantized load paths, and
-// selector scoring.
+// and on decode steps (full vs pruned tables), the served linears'
+// num::matmul, quantized load paths, and selector scoring.
 //
 // These complement the table-generating benches with statistically
 // rigorous per-kernel timings (use --benchmark_filter=... to narrow).
@@ -14,6 +14,7 @@
 #include "attn/fused_attention.hpp"
 #include "eval/metrics.hpp"
 #include "model/workload.hpp"
+#include "numeric/math.hpp"
 #include "numeric/quant.hpp"
 #include "numeric/rng.hpp"
 #include "sparse/hierarchical_selector.hpp"
@@ -197,6 +198,23 @@ void BM_PrefillChunkInt4Group(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PrefillChunkInt4Group)->Unit(benchmark::kMillisecond);
+
+// num::matmul at the FFN up projection of the tiny model: [rows x 128] ·
+// [128 x 256]. One row is a decode step's linear, 128 a prefill chunk's.
+void BM_MatmulServed(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  num::Rng rng(13);
+  num::Tensor a(rows, 128), b(128, 256), c(rows, 256);
+  for (num::Tensor* t : {&a, &b}) {
+    for (std::size_t i = 0; i < t->size(); ++i) t->data()[i] = rng.gaussian();
+  }
+  for (auto _ : state) {
+    num::matmul(a.view(), b.view(), c.view());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_MatmulServed)->Arg(1)->Arg(128);
 
 void BM_SelectorFlat(benchmark::State& state) {
   DecodeFixture fix(state.range(0), num::KvDtype::kFp16);

@@ -23,6 +23,14 @@
 // spans, the row's query and its causal end, so a call is bit-identical to
 // one-row calls, and a prefill row equals a decode step over its pages.
 //
+// Register tiles: the rows that see a span go in 2-row tiles (an odd last
+// row alone). Scores are computed for 4-slot blocks at absolute slots,
+// each dot as four channel lanes (c mod 4) combined (a0 + a2) + (a1 + a3);
+// a block's scores are exponentiated at once (num::exp_lanes) and the
+// span's max, normalizer and bias are lane sums masked to the row's slots;
+// the tile's rows share each V row, each channel summing in slot order. A
+// row's arithmetic never depends on which row shares its tile.
+//
 // Work counters: DecodeWorkStats::pages_visited / tokens_visited count per
 // query row (one per span a row folds, plus the tokens it folds), since
 // consumers normalize by context x q_heads x layers.

@@ -6,6 +6,8 @@
 #include <limits>
 #include <numeric>
 
+#include "numeric/simd.hpp"
+
 namespace lserve::num {
 
 float dot(const float* a, const float* b, std::size_t n) noexcept {
@@ -64,20 +66,61 @@ void matmul_abt(ConstMatView a, ConstMatView b, MatView c) noexcept {
   }
 }
 
-void matmul(ConstMatView a, ConstMatView b, MatView c) noexcept {
-  assert(a.cols == b.rows && c.rows == a.rows && c.cols == b.cols);
-  for (std::size_t i = 0; i < c.rows; ++i) {
-    float* ci = c.row(i);
-    std::fill(ci, ci + c.cols, 0.0f);
-  }
-  // ikj loop order: streams over B rows, accumulates into C rows.
-  for (std::size_t i = 0; i < a.rows; ++i) {
-    const float* ai = a.row(i);
-    float* ci = c.row(i);
-    for (std::size_t k = 0; k < a.cols; ++k) {
-      axpy(ai[k], b.row(k), ci, b.cols);
+namespace {
+
+// One tile of C = A·B: R rows x 4C columns from (i, j), held in R x C
+// four-lane accumulators over the whole k loop.
+template <std::size_t R, std::size_t C>
+void matmul_tile(ConstMatView a, ConstMatView b, MatView c, std::size_t i,
+                 std::size_t j) noexcept {
+  const float* ar[R];
+  for (std::size_t r = 0; r < R; ++r) ar[r] = a.row(i + r);
+  f32x4 acc[R][C] = {};
+  for (std::size_t k = 0; k < a.cols; ++k) {
+    const float* bk = b.row(k) + j;
+    f32x4 bv[C];
+    for (std::size_t q = 0; q < C; ++q) bv[q] = load4(bk + 4 * q);
+    for (std::size_t r = 0; r < R; ++r) {
+      const f32x4 x = splat(ar[r][k]);
+      for (std::size_t q = 0; q < C; ++q) acc[r][q] += x * bv[q];
     }
   }
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t q = 0; q < C; ++q) {
+      store4(c.row(i + r) + j + 4 * q, acc[r][q]);
+    }
+  }
+}
+
+// Rows [i, i + R) of C: 8 accumulators per tile (2 x 16 or 1 x 32
+// columns), then 4-column tiles, then single columns.
+template <std::size_t R>
+void matmul_rows(ConstMatView a, ConstMatView b, MatView c,
+                 std::size_t i) noexcept {
+  constexpr std::size_t kWide = 8 / R;
+  std::size_t j = 0;
+  for (; j + 4 * kWide <= b.cols; j += 4 * kWide) {
+    matmul_tile<R, kWide>(a, b, c, i, j);
+  }
+  for (; j + 4 <= b.cols; j += 4) matmul_tile<R, 1>(a, b, c, i, j);
+  for (; j < b.cols; ++j) {
+    for (std::size_t r = 0; r < R; ++r) {
+      float acc = 0.0f;
+      for (std::size_t k = 0; k < a.cols; ++k) {
+        acc += a.at(i + r, k) * b.at(k, j);
+      }
+      c.at(i + r, j) = acc;
+    }
+  }
+}
+
+}  // namespace
+
+void matmul(ConstMatView a, ConstMatView b, MatView c) noexcept {
+  assert(a.cols == b.rows && c.rows == a.rows && c.cols == b.cols);
+  std::size_t i = 0;
+  for (; i + 2 <= a.rows; i += 2) matmul_rows<2>(a, b, c, i);
+  if (i < a.rows) matmul_rows<1>(a, b, c, i);
 }
 
 std::vector<std::size_t> top_k_indices(std::span<const float> scores,

@@ -39,7 +39,11 @@ void softmax_inplace(float* row, std::size_t n) noexcept;
 /// projections in the model substrate.
 void matmul_abt(ConstMatView a, ConstMatView b, MatView c) noexcept;
 
-/// C = A * B. A is m x k, B is k x n, C is m x n.
+/// C = A * B. A is m x k, B is k x n, C is m x n (any row strides).
+/// Register-tiled: 2 rows x 16 columns per tile (1 x 32 for a lone row),
+/// kept in registers over the whole k loop. Every element starts at 0 and
+/// adds a[i][k] * b[k][j] for ascending k, so a row's result is
+/// bit-identical whatever rows share the call.
 void matmul(ConstMatView a, ConstMatView b, MatView c) noexcept;
 
 /// Indices of the k largest values in `scores` (ties broken by lower index),

@@ -506,8 +506,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(num::KvDtype::kFp16,
                                          num::KvDtype::kInt8,
                                          num::KvDtype::kInt4),
+                       // Group 3 is one 2-row tile plus a lone row.
                        ::testing::Values(std::size_t{1}, std::size_t{2},
-                                         std::size_t{4}),
+                                         std::size_t{3}, std::size_t{4}),
                        ::testing::Values(std::size_t{16}, std::size_t{32},
                                          std::size_t{17}),
                        ::testing::Values(TableShape::kFull,
@@ -524,7 +525,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- Prefill rows of the walk: dtype x group x mask and chunk geometry. ----
 
-enum class PrefillShape { kCausal, kLambda, kPartialTail, kMidPageStart };
+enum class PrefillShape {
+  kCausal,
+  kLambda,
+  kPartialTail,
+  kMidPageStart,
+  kOddStart
+};
 
 const char* prefill_shape_name(PrefillShape s) {
   switch (s) {
@@ -536,6 +543,8 @@ const char* prefill_shape_name(PrefillShape s) {
       return "partial_tail";
     case PrefillShape::kMidPageStart:
       return "mid_page_start";
+    case PrefillShape::kOddStart:
+      return "odd_start";
   }
   return "?";
 }
@@ -552,21 +561,28 @@ class PrefillRowSweep : public ::testing::TestWithParam<PrefillParam> {};
 //   lambda        24 + 24 on a streaming head: 1 sink and 3 local k-tiles,
 //                 so kept tiles split pages;
 //   partial_tail  16 + 27, the chunk ends 3 tokens into a page;
-//   mid_page      21 + 19, the chunk starts mid-page and mid-q-tile.
+//   mid_page      21 + 19, the chunk starts mid-page and mid-q-tile;
+//   odd_start     23 + 24 on a streaming head with k-tiles of 3 tokens:
+//                 tasks of 9 and 15 rows, spans starting and ending off
+//                 the walk's 4-slot score blocks.
 TEST_P(PrefillRowSweep, EveryRowMatchesOracleAndOneRowWalk) {
   const auto [dtype, group, shape] = GetParam();
   const std::size_t d = 16, page = 8;
   const std::size_t history = shape == PrefillShape::kLambda        ? 24
                               : shape == PrefillShape::kMidPageStart ? 21
+                              : shape == PrefillShape::kOddStart     ? 23
                                                                      : 16;
   const std::size_t total = shape == PrefillShape::kLambda        ? 48
                             : shape == PrefillShape::kPartialTail ? 43
+                            : shape == PrefillShape::kOddStart    ? 47
                                                                   : 40;
   const std::size_t n = total - history;
-  const bool streaming = shape == PrefillShape::kLambda;
+  const bool streaming =
+      shape == PrefillShape::kLambda || shape == PrefillShape::kOddStart;
+  const std::size_t tk = shape == PrefillShape::kOddStart ? 3 : 4;
   const kv::StreamingConfig window{/*sink_tokens=*/4, /*local_tokens=*/12};
   FusedPrefillConfig pc;
-  pc.tiling = {/*tile_q=*/16, /*tile_k=*/4};
+  pc.tiling = {/*tile_q=*/16, /*tile_k=*/tk};
   pc.streaming = {/*sink_blocks=*/1, /*local_blocks=*/3};
   pc.total_tokens = total;
   const float scale = 1.0f / std::sqrt(static_cast<float>(d));
@@ -612,7 +628,7 @@ TEST_P(PrefillRowSweep, EveryRowMatchesOracleAndOneRowWalk) {
   // BlockMask::streaming decides it for the row's q-tile.
   const auto keep_tile = [&](std::size_t kb, std::size_t p) {
     const std::size_t last = std::min((p / 16 + 1) * 16, total) - 1;
-    return !streaming || kb < 1 || kb + 3 > last / 4;
+    return !streaming || kb < 1 || kb + 3 > last / tk;
   };
   for (std::size_t g = 0; g < group; ++g) {
     const num::ConstMatView qg = q.view().cols_slice(g * d, d);
@@ -623,7 +639,7 @@ TEST_P(PrefillRowSweep, EveryRowMatchesOracleAndOneRowWalk) {
       const std::size_t p = history + r;
       // The row on its own: one row, its own causal end, its mask's spans.
       const std::vector<PageSpan> spans =
-          mask_spans(table, page, p + 1, 0, 4,
+          mask_spans(table, page, p + 1, 0, tk,
                      [&](std::size_t kb) { return keep_tile(kb, p); });
       const std::size_t end[1] = {p + 1};
       std::vector<float> one(d);
@@ -643,7 +659,7 @@ TEST_P(PrefillRowSweep, EveryRowMatchesOracleAndOneRowWalk) {
       std::size_t runs = 0;
       double m = -1e30;
       for (std::size_t j = 0; j <= p; ++j) {
-        if (!keep_tile(j / 4, p)) continue;
+        if (!keep_tile(j / tk, p)) continue;
         if (tokens.empty() || tokens.back() + 1 != j || j % page == 0) ++runs;
         tokens.push_back(j);
         double s = 0.0;
@@ -690,7 +706,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(PrefillShape::kCausal,
                                          PrefillShape::kLambda,
                                          PrefillShape::kPartialTail,
-                                         PrefillShape::kMidPageStart)),
+                                         PrefillShape::kMidPageStart,
+                                         PrefillShape::kOddStart)),
     [](const ::testing::TestParamInfo<PrefillParam>& info) {
       return std::string(num::dtype_name(std::get<0>(info.param))) + "_g" +
              std::to_string(std::get<1>(info.param)) + "_" +

@@ -1,12 +1,16 @@
 // Unit & property tests for the numeric substrate (src/numeric).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
 #include <vector>
 
 #include "numeric/math.hpp"
 #include "numeric/rng.hpp"
+#include "numeric/simd.hpp"
 #include "numeric/tensor.hpp"
 
 namespace lserve::num {
@@ -108,6 +112,37 @@ TEST(Math, SoftmaxStableForLargeInputs) {
   EXPECT_NEAR(row[0] + row[1] + row[2], 1.0f, 1e-5f);
 }
 
+// The walk's lane exp against std::exp in double precision.
+TEST(Math, ExpLanesMatchesStdExp) {
+  constexpr std::size_t kSteps = 870000;  // [-87, 0] in steps of 1e-4
+  double worst = 0.0;
+  for (std::size_t i = 0; i <= kSteps; i += 4) {
+    f32x4 x;
+    for (std::size_t l = 0; l < 4; ++l) {
+      x[l] = static_cast<float>(-static_cast<double>(std::min(i + l, kSteps)) *
+                                1e-4);
+    }
+    const f32x4 y = exp_lanes(x);
+    for (std::size_t l = 0; l < 4; ++l) {
+      const double ref = std::exp(static_cast<double>(x[l]));
+      worst = std::max(worst, std::fabs(y[l] - ref) / ref);
+    }
+  }
+  EXPECT_LE(worst, 2.4e-7);
+  EXPECT_EQ(exp_lanes(splat(0.0f))[0], 1.0f);
+}
+
+// Inputs at or below the clamp (-87.33) give e^-87.33, a normal float.
+TEST(Math, ExpLanesBelowRangeIsTinyAndFinite) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const f32x4 y = exp_lanes(f32x4{-87.34f, -100.0f, -1e30f, -inf});
+  for (std::size_t l = 0; l < 4; ++l) {
+    EXPECT_TRUE(std::isfinite(y[l])) << l;
+    EXPECT_GE(y[l], 0.0f) << l;
+    EXPECT_LE(y[l], 1.2e-38f) << l;
+  }
+}
+
 TEST(Math, MatmulMatchesNaive) {
   Rng rng(23);
   Tensor a(5, 7), b(7, 4), c(5, 4);
@@ -121,6 +156,63 @@ TEST(Math, MatmulMatchesNaive) {
         ref += static_cast<double>(a.at(i, k)) * b.at(k, j);
       }
       EXPECT_NEAR(c.at(i, j), ref, 1e-4);
+    }
+  }
+}
+
+// num::matmul's contract: every element starts at 0 and adds
+// a[i][k]·b[k][j] for ascending k in float, at any tile shape.
+void ascending_k_matmul(ConstMatView a, ConstMatView b, MatView c) {
+  for (std::size_t i = 0; i < a.rows; ++i) {
+    for (std::size_t j = 0; j < b.cols; ++j) {
+      float acc = 0.0f;
+      for (std::size_t k = 0; k < a.cols; ++k) acc += a.at(i, k) * b.at(k, j);
+      c.at(i, j) = acc;
+    }
+  }
+}
+
+TEST(Math, MatmulBitIdenticalToAscendingKSums) {
+  Rng rng(31);
+  for (std::size_t m : {1, 2, 3, 5, 128}) {
+    for (std::size_t n : {1, 3, 4, 15, 16, 17, 64, 256}) {
+      for (std::size_t k : {1, 7, 128}) {
+        Tensor a(m, k), b(k, n), c(m, n, 7.0f), ref(m, n);
+        for (Tensor* t : {&a, &b}) {
+          for (std::size_t i = 0; i < t->size(); ++i) {
+            t->data()[i] = rng.gaussian();
+          }
+        }
+        matmul(a.view(), b.view(), c.view());
+        ascending_k_matmul(a.view(), b.view(), ref.view());
+        EXPECT_EQ(std::memcmp(c.data(), ref.data(), c.size() * sizeof(float)),
+                  0)
+            << "[" << m << "x" << k << "] x [" << k << "x" << n << "]";
+      }
+    }
+  }
+}
+
+// Row and column views of wider matrices, as the prefill forward passes
+// them: strided rows in, a sub-block out, nothing outside it written.
+TEST(Math, MatmulStridedViewsBitIdentical) {
+  Rng rng(37);
+  Tensor a_full(9, 140), b_full(128, 300), c_full(9, 280, 7.0f);
+  for (Tensor* t : {&a_full, &b_full}) {
+    for (std::size_t i = 0; i < t->size(); ++i) t->data()[i] = rng.gaussian();
+  }
+  const ConstMatView a = a_full.view().rows_slice(2, 5).cols_slice(3, 128);
+  const ConstMatView b = b_full.view().cols_slice(11, 259);
+  const MatView c = c_full.view().rows_slice(1, 5).cols_slice(13, 259);
+  matmul(a, b, c);
+  Tensor ref(5, 259);
+  ascending_k_matmul(a, b, ref.view());
+  for (std::size_t i = 0; i < c_full.rows(); ++i) {
+    for (std::size_t j = 0; j < c_full.cols(); ++j) {
+      const bool inside = i >= 1 && i < 6 && j >= 13 && j < 13 + 259;
+      const float want = inside ? ref.at(i - 1, j - 13) : 7.0f;
+      EXPECT_EQ(std::memcmp(&c_full.at(i, j), &want, sizeof(float)), 0)
+          << "(" << i << ", " << j << ")";
     }
   }
 }
