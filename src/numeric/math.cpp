@@ -76,6 +76,10 @@ void matmul_tile(ConstMatView a, ConstMatView b, MatView c, std::size_t i,
   const float* ar[R];
   for (std::size_t r = 0; r < R; ++r) ar[r] = a.row(i + r);
   f32x4 acc[R][C] = {};
+  // Unrolled by the compiler (Clang reads the same pragma): on a Sapphire
+  // Rapids Xeon this took 0.84x the rolled loop's time at 128 rows, while
+  // hand-unrolled forms of the loop took 0.90-0.92x.
+#pragma GCC unroll 4
   for (std::size_t k = 0; k < a.cols; ++k) {
     const float* bk = b.row(k) + j;
     f32x4 bv[C];
