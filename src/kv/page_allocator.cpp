@@ -107,6 +107,9 @@ PageId PageAllocator::allocate() {
     live_[id] = 1;
     refs_[id] = 1;
   }
+  // The auditor learns of the page before the tier does: from here on a
+  // concurrent spill may pick it, and the audit must already see it live.
+  auditor_.on_alloc(id);
   if (tier_.enabled()) {
     {
       MutexLock t(tier_mu_);
@@ -119,7 +122,6 @@ PageId PageAllocator::allocate() {
     }
     enforce_hot_budget(id);
   }
-  auditor_.on_alloc(id);
   return id;
 }
 
@@ -140,13 +142,13 @@ void PageAllocator::release(PageId id) noexcept {
     auditor_.on_unref(id);
     return;
   }
-  // Audit first (own lock): a double-free/foreign-free report fires before
-  // the allocator's state is disturbed.
-  auditor_.on_free(id);
   // Reclaim tier state before the slot can be reallocated: wait out any
   // in-flight demote/promote and give back the cold slot of a spilled
   // page. (The id is not on the free list yet, so no one can race us.)
+  // Then audit (own lock): a spill that picked the page first has ended
+  // while the audit still saw it live, and a bad free aborts here.
   tier_on_release(id);
+  auditor_.on_free(id);
   MutexLock lock(mu_);
   assert(id < total_slots_);
   assert(live_[id] && "release of a dead KV page");

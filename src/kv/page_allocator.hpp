@@ -235,16 +235,18 @@ class PageAllocator {
   /// prefetch has not run) and protects it from demotion for the pin's
   /// lifetime. Lock-free in single-tier mode. Thread-safe.
   PagePin pin(PageId id) const {
-    auditor_.on_pin(id);
+    // The audit records the pin once the tier holds it, so a spill that
+    // picked the page first never sees an audit pin it must not demote.
     if (tier_.enabled()) pin_slot(id);
+    auditor_.on_pin(id);
     return PagePin(this, &get(id), id);
   }
 
   /// Write pin (append / COW paths). Same tier semantics as pin(); the
   /// caller must own the page exclusively. Thread-safe.
   PageWritePin pin_mut(PageId id) {
-    auditor_.on_pin(id);
     if (tier_.enabled()) pin_slot(id);
+    auditor_.on_pin(id);
     return PageWritePin(this, &get(id), id);
   }
 

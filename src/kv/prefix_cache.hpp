@@ -93,8 +93,8 @@ class PrefixCache {
       EXCLUDES(mu_);
 
   /// Shares `cache`'s pages for `tokens` into the tree. `tokens` MUST be
-  /// the prefill-produced prefix of the sequence (its prompt/replay feed,
-  /// truncated to the prefilled position) — never tokens appended during
+  /// the prefill-produced prefix of the sequence (its prompt, truncated
+  /// to the prefilled position) — never tokens appended during
   /// decode: the sparse decode path writes numerically different K/V than
   /// a prefill of the same tokens, so caching decode-produced pages would
   /// break the attach path's bit-exactness guarantee. Must run before the

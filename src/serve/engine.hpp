@@ -255,8 +255,8 @@ class Engine {
                             std::span<const std::int32_t> prompt);
 
   /// Shares sequence `id`'s KV pages for `tokens` — which must be its
-  /// PREFILL-produced prefix (prompt/replay feed up to the prefilled
-  /// position), never decode-produced tokens, whose K/V differ numerically
+  /// PREFILL-produced prefix (the prompt up to the prefilled position),
+  /// never decode-produced tokens, whose K/V differ numerically
   /// from a prefill of the same ids — into the prefix cache. Call at
   /// terminal/preemption points, after the last append and before
   /// release_sequence(). No-op when disabled.

@@ -2,15 +2,29 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
-#if LSERVE_AUDIT_ENABLED
-#include <cstdio>
-#include <cstdlib>
-#endif
-
 namespace lserve::serve {
+namespace {
+
+/// Replay oracle: re-decoding a preempted request's restored output must
+/// reproduce it token for token. LSERVE_AUDIT builds abort on a mismatch,
+/// like the decode walk's newest-block audit; other builds trust the replay.
+void audit_replayed_token(std::uint64_t request_id, std::size_t index,
+                          std::int32_t recorded, std::int32_t token) {
+  if (!kv::kAuditEnabled || token == recorded) return;
+  std::fprintf(stderr,
+               "[lserve audit] request %llu: replay produced token %d at "
+               "index %zu where the original run produced %d\n",
+               static_cast<unsigned long long>(request_id), token, index,
+               recorded);
+  std::abort();
+}
+
+}  // namespace
 
 const char* to_string(RequestStatus status) noexcept {
   switch (status) {
@@ -351,7 +365,7 @@ void Scheduler::finish(Pending pend, std::vector<std::int32_t> output,
 }
 
 void Scheduler::insert_prefix(const Running& run) {
-  // Only the PREFILLED extent is attachable prefix: feed() tokens up to
+  // Only the PREFILLED extent is attachable prefix: prompt tokens up to
   // the sequence position (all of them once prefill completed, a prefix
   // when preempted/cancelled mid-prefill). Tokens appended during decode
   // are deliberately excluded — the sparse decode path writes numerically
@@ -360,13 +374,13 @@ void Scheduler::insert_prefix(const Running& run) {
   // caching them would break bit-exactness against a cold prefill. A
   // finished turn's reply becomes cacheable on the NEXT turn, when it is
   // part of that request's prefilled prompt.
-  const std::size_t position = engine_.sequence(run.seq).position;
-  const std::size_t prefilled = std::min(position, run.pend.feed().size());
+  const std::vector<std::int32_t>& prompt = run.pend.req.prompt;
+  const std::size_t prefilled =
+      std::min(engine_.sequence(run.seq).position, prompt.size());
   if (prefilled == 0) return;
   obs::StepTraceBuilder::Span span = step_trace_.span("prefix_insert");
   engine_.insert_prefix(
-      run.seq, std::span<const std::int32_t>(run.pend.feed().data(),
-                                             prefilled));
+      run.seq, std::span<const std::int32_t>(prompt.data(), prefilled));
 }
 
 void Scheduler::terminate_running(std::size_t slot, RequestStatus status) {
@@ -379,12 +393,7 @@ void Scheduler::terminate_running(std::size_t slot, RequestStatus status) {
   insert_prefix(run);
   engine_.sequence(run.seq).phase = SequencePhase::kCancelled;
   engine_.release_sequence(run.seq);
-  // Mid-prefill after a preemption the restored output still lives in
-  // pend.resumed; everything already streamed must appear in the result.
-  std::vector<std::int32_t> output = run.output.empty()
-                                         ? std::move(run.pend.resumed)
-                                         : std::move(run.output);
-  finish(std::move(run.pend), std::move(output), status);
+  finish(std::move(run.pend), std::move(run.output), status);
 }
 
 void Scheduler::apply_cancellations(
@@ -459,7 +468,7 @@ void Scheduler::admit() {
       // A prefix-cache hit's footprint counts only the uncached suffix:
       // the shared pages are already in pool occupancy, so the budget
       // admits more concurrent sequences under the same ceiling.
-      const std::size_t cached = engine_.prefix_match_tokens(front.feed());
+      const std::size_t cached = engine_.prefix_match_tokens(front.req.prompt);
       const std::size_t need =
           engine_
               .estimate_request_pages(
@@ -469,13 +478,9 @@ void Scheduler::admit() {
       // already running — the same term preempt_for_memory() enforces —
       // so a freshly admitted request is not immediately preempted back
       // out (admit/preempt thrash that would discard its prefill work).
-      std::size_t decoding = 0;
-      for (const Running& run : running_) {
-        if (run.phase == SequencePhase::kDecoding &&
-            run.output.size() < run.pend.req.max_new_tokens) {
-          ++decoding;
-        }
-      }
+      const std::size_t decoding = static_cast<std::size_t>(
+          std::count_if(running_.begin(), running_.end(),
+                        [](const Running& run) { return run.decoding(); }));
       const std::size_t headroom = decoding * engine_.decode_step_page_bound();
       // Under tiering the budget charges hot-resident pages only: cold
       // pages occupy spill-file bytes, not pool RAM, so demoted history
@@ -506,15 +511,18 @@ void Scheduler::admit() {
           static_cast<double>(now_ns() - run.pend.submit_ns) * 1e-9);
       run.pend.queue_wait_recorded = true;
     }
+    // A preempted request carries its output back in; the decode batch
+    // re-decodes it after the prompt prefill (see `Running::decoded`).
+    run.output = std::move(run.pend.resumed);
     run.seq = engine_.create_sequence();
     // Attach the cached prefix (no-op without a prefix cache): prefill
     // resumes at the first uncached token, which is what turns a shared
     // prefix into a TTFT win.
     {
       obs::StepTraceBuilder::Span span = step_trace_.span("prefix_attach");
-      run.prefill_pos = engine_.attach_prefix(run.seq, run.pend.feed());
+      run.prefill_pos = engine_.attach_prefix(run.seq, run.pend.req.prompt);
     }
-    engine_.begin_prefill(run.seq, run.pend.feed().size());
+    engine_.begin_prefill(run.seq, run.pend.req.prompt.size());
     run.phase = SequencePhase::kPrefilling;
     run.admit_order = admit_counter_++;
     ++stats_.admitted;
@@ -536,11 +544,11 @@ void Scheduler::advance_prefill() {
   if (target == nullptr) return;
 
   obs::StepTraceBuilder::Span span = step_trace_.span("prefill_chunk");
-  const std::vector<std::int32_t>& feed = target->pend.feed();
+  const std::vector<std::int32_t>& prompt = target->pend.req.prompt;
   const std::size_t chunk = engine_.config().prefill_chunk_tokens;
-  const std::size_t remaining = feed.size() - target->prefill_pos;
+  const std::size_t remaining = prompt.size() - target->prefill_pos;
   const std::size_t count = chunk == 0 ? remaining : std::min(chunk, remaining);
-  const std::span<const std::int32_t> ids(feed.data() + target->prefill_pos,
+  const std::span<const std::int32_t> ids(prompt.data() + target->prefill_pos,
                                           count);
   const std::size_t left =
       engine_.prefill_chunk(target->seq, ids, pool_.get());
@@ -551,24 +559,19 @@ void Scheduler::advance_prefill() {
 
   const std::int32_t first = engine_.finish_prefill(target->seq);
   target->phase = SequencePhase::kDecoding;
-  if (target->pend.resumed.empty()) {
-    target->output.push_back(first);
-    target->pend.first_token_step = stats_.steps;
-    if (metrics_ != nullptr && !target->pend.ttft_recorded) {
-      const std::uint64_t now = now_ns();
-      m_.ttft->observe(
-          static_cast<double>(now - target->pend.submit_ns) * 1e-9);
-      target->pend.ttft_recorded = true;
-      target->pend.last_token_ns = now;
-    }
-  } else {
-    // Re-prefill after preemption recomputed the KV state of the earlier
-    // partial run; the readout of the last fed token re-derives the last
-    // generated token, so restore the already-produced output instead of
-    // appending. (A later preemption rebuilds resumed from the current
-    // output, so moving it out is safe.)
-    target->output = std::move(target->pend.resumed);
-    target->pend.resumed.clear();
+  if (!target->output.empty()) {
+    // A replay: the prompt's readout re-derives the restored output[0].
+    audit_replayed_token(target->pend.req.request_id, 0, target->output[0],
+                         first);
+    return;
+  }
+  target->output.push_back(first);
+  target->pend.first_token_step = stats_.steps;
+  if (metrics_ != nullptr && !target->pend.ttft_recorded) {
+    const std::uint64_t now = now_ns();
+    m_.ttft->observe(static_cast<double>(now - target->pend.submit_ns) * 1e-9);
+    target->pend.ttft_recorded = true;
+    target->pend.last_token_ns = now;
   }
 }
 
@@ -588,15 +591,9 @@ void Scheduler::preempt(std::size_t slot) {
   ++pend.preemptions;
   ++stats_.preemptions;
   if (metrics_ != nullptr) m_.preemptions->inc();
-  if (run.phase == SequencePhase::kDecoding && !run.output.empty()) {
-    // Recompute preemption: replay every token that was fed to the engine
-    // (the prompt plus all generated tokens but the last, which had not
-    // been fed back yet) and restore the generated output on re-admission.
-    pend.fed = pend.req.prompt;
-    pend.fed.insert(pend.fed.end(), run.output.begin(),
-                    run.output.end() - 1);
-    pend.resumed = std::move(run.output);
-  }
+  // Recompute preemption: the output so far (restored tokens not yet
+  // re-decoded included) comes back in at re-admission.
+  pend.resumed = std::move(run.output);
   // Front of the queue: the preempted request re-admits first once memory
   // frees (FCFS among multiple preemptions — newest victims are pushed
   // first and end up behind earlier-admitted ones).
@@ -607,13 +604,9 @@ void Scheduler::preempt_for_memory() {
   if (cfg_.memory.page_budget == 0) return;
   const std::size_t bound = engine_.decode_step_page_bound();
   while (running_.size() > 1) {
-    std::size_t decoding = 0;
-    for (const Running& run : running_) {
-      if (run.phase == SequencePhase::kDecoding &&
-          run.output.size() < run.pend.req.max_new_tokens) {
-        ++decoding;
-      }
-    }
+    const std::size_t decoding = static_cast<std::size_t>(
+        std::count_if(running_.begin(), running_.end(),
+                      [](const Running& run) { return run.decoding(); }));
     if (decoding == 0) return;
     // Worst case, every decoding sequence crosses a page boundary on every
     // head this step; preempt until that fits under the budget (or only
@@ -691,27 +684,27 @@ bool Scheduler::step_impl() {
   // under budget, including one whose prefill completed this very step.
   // (Note prefill is rationed at one sequence per iteration even with
   // monolithic chunks, so simultaneously admitted requests start decoding
-  // on consecutive steps, not all at once.)
+  // on consecutive steps, not all at once.) A replaying sequence is fed
+  // its recorded token, like the step that first produced it.
   std::vector<std::size_t> slots;
   std::vector<SequenceId> seqs;
-  std::vector<std::int32_t> last;
+  std::vector<std::int32_t> inputs;
   slots.reserve(running_.size());
   seqs.reserve(running_.size());
-  last.reserve(running_.size());
+  inputs.reserve(running_.size());
   for (std::size_t i = 0; i < running_.size(); ++i) {
     const Running& run = running_[i];
-    if (run.phase != SequencePhase::kDecoding) continue;
-    if (run.output.size() >= run.pend.req.max_new_tokens) continue;
+    if (!run.decoding()) continue;
     slots.push_back(i);
     seqs.push_back(run.seq);
-    last.push_back(run.output.back());
+    inputs.push_back(run.output[run.decoded]);
   }
   std::vector<std::int32_t> next;
   {
     obs::StepTraceBuilder::Span span = step_trace_.span("decode_batch");
     try {
       next = engine_.decode_batch(std::span<const SequenceId>(seqs),
-                                  std::span<const std::int32_t>(last),
+                                  std::span<const std::int32_t>(inputs),
                                   pool_.get());
     } catch (...) {
       poisoned_ = true;
@@ -725,6 +718,12 @@ bool Scheduler::step_impl() {
       (metrics_ != nullptr && !slots.empty()) ? now_ns() : 0;
   for (std::size_t j = 0; j < slots.size(); ++j) {
     Running& run = running_[slots[j]];
+    const std::size_t index = ++run.decoded;
+    if (index < run.output.size()) {
+      audit_replayed_token(run.pend.req.request_id, index, run.output[index],
+                           next[j]);
+      continue;
+    }
     run.output.push_back(next[j]);
     if (metrics_ != nullptr) {
       if (run.pend.last_token_ns != 0) {
@@ -747,8 +746,7 @@ bool Scheduler::step_impl() {
   obs::StepTraceBuilder::Span retire_span = step_trace_.span("retire");
   for (std::size_t i = 0; i < running_.size();) {
     Running& run = running_[i];
-    if (run.phase == SequencePhase::kDecoding &&
-        run.output.size() >= run.pend.req.max_new_tokens) {
+    if (run.phase == SequencePhase::kDecoding && !run.decoding()) {
       // The finished conversation turn is tomorrow's shared prefix: insert
       // before release so the cache inherits the pages instead of the pool.
       insert_prefix(run);

@@ -18,19 +18,23 @@
 // does not fit on top of current occupancy stays WAITING — and triggers
 // preemption instead of poisoning when the pool nears exhaustion
 // mid-decode: the most recently admitted sequence is released (pages
-// reclaimed) and its request re-queued at the front for re-prefill, with
-// already-generated tokens folded into the replayed prompt (vLLM's
-// recompute preemption). The budget is soft in two places that guarantee
-// drain() always completes: a request whose footprint alone exceeds the
-// budget still runs solo (the pool grows on demand), and the last running
-// sequence is never preempted.
+// reclaimed) and its request re-queued at the front (recompute
+// preemption). On re-admission it prefills only its prompt, then
+// re-decodes its generated tokens through the ordinary decode batch with
+// the recorded token as each step's input, producing nothing new until it
+// catches up. The rebuilt KV is what the original decode steps wrote —
+// same streaming window, same selected and reused page tables — so the
+// replay is output-exact under every sparsity policy. The budget is soft
+// in two places that guarantee drain() always completes: a request whose
+// footprint alone exceeds the budget still runs solo (the pool grows on
+// demand), and the last running sequence is never preempted.
 //
 // Prefix cache (when the engine enables it): admission peeks the cache so
 // a hit's footprint counts only the uncached suffix, every admitted
 // request attaches the cached prefix and prefills just the remainder, and
 // every release point (finish / preempt / cancel) inserts the sequence's
 // KV into the cache before its pages return to the pool — so a preempted
-// request's re-prefill is itself usually a cache hit. Under budget
+// request's prompt prefill is itself usually a cache hit. Under budget
 // pressure the scheduler evicts unreferenced cache entries before it
 // resorts to deferring admission or preempting a running sequence.
 //
@@ -261,16 +265,8 @@ class Scheduler {
   /// A queued request plus any progress preserved across preemption.
   struct Pending {
     Request req;
-    /// After a mid-decode preemption: the prompt plus every generated
-    /// token that had been fed back, to be replayed as the re-prefill
-    /// stream. Empty for a fresh request (feed() then serves the prompt
-    /// directly, avoiding a copy per queued request).
-    std::vector<std::int32_t> fed;
-    const std::vector<std::int32_t>& feed() const noexcept {
-      return fed.empty() ? req.prompt : fed;
-    }
-    /// Generated tokens restored verbatim after re-prefill (empty for a
-    /// fresh request).
+    /// Tokens generated before a preemption (empty for a fresh request);
+    /// re-admission re-decodes them after the prompt prefill.
     std::vector<std::int32_t> resumed;
     std::size_t preemptions = 0;
     std::size_t submit_step = 0;
@@ -293,16 +289,24 @@ class Scheduler {
     SequenceId seq = kInvalidSequence;
     SequencePhase phase = SequencePhase::kPrefilling;
     std::vector<std::int32_t> output;
-    std::size_t prefill_pos = 0;  ///< tokens of pend.feed() already forwarded.
+    /// Decode steps taken since admission: the next step's input is
+    /// output[decoded]. Below output.size() - 1 the sequence is replaying
+    /// tokens restored from a preemption and appends nothing.
+    std::size_t decoded = 0;
+    std::size_t prefill_pos = 0;  ///< prompt tokens already forwarded.
     std::uint64_t admit_order = 0;
+    /// Still owes a decode step: one more token, or a replayed one.
+    bool decoding() const noexcept {
+      return phase == SequencePhase::kDecoding &&
+             decoded + 1 < pend.req.max_new_tokens;
+    }
   };
 
   void admit();
   void advance_prefill();
   void preempt_for_memory();
   void preempt(std::size_t slot);
-  /// Shares `run`'s KV into the engine's prefix cache (everything fed so
-  /// far: feed() up to the sequence position, then generated tokens).
+  /// Shares `run`'s prefilled prompt KV into the engine's prefix cache.
   /// Called at every release point — finish, preemption, cancel/deadline —
   /// before the sequence's pages go back to the pool. No-op when the
   /// engine has no prefix cache.

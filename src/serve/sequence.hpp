@@ -16,10 +16,10 @@ inline constexpr SequenceId kInvalidSequence = static_cast<SequenceId>(-1);
 
 /// Lifecycle of a served request/sequence. The scheduler drives requests
 /// through WAITING → PREFILLING → DECODING → FINISHED, with PREEMPTED as
-/// the memory-pressure back edge (pages released, request re-queued for
-/// re-prefill, so PREEMPTED → WAITING) and CANCELLED as the early terminal
-/// exit (cancel() or a deadline: pages released like preemption, request
-/// not re-queued).
+/// the memory-pressure back edge (pages released, request re-queued to
+/// prefill its prompt and re-decode its tokens, so PREEMPTED → WAITING)
+/// and CANCELLED as the early terminal exit (cancel() or a deadline: pages
+/// released like preemption, request not re-queued).
 enum class SequencePhase : std::uint8_t {
   kWaiting = 0,     ///< queued/created; no tokens fed yet.
   kPrefilling = 1,  ///< mid incremental prefill (begin_prefill() called).

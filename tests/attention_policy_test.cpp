@@ -7,9 +7,10 @@
 // crossover must reproduce an always-dense run exactly, and one whose
 // every step sits at or past it must reproduce an always-sparse run
 // exactly — outputs, engine counters and scheduler telemetry alike —
-// at 1/2/8 decode threads, under preemption replay, and with the prefix
-// cache on or off. Mid-sequence flips are pinned against a manual
-// set_attention_policy() swap at the crossover step.
+// under preemption replay and with the prefix cache on or off. These run
+// at one decode thread; drain_oracle_test carries the same workloads, under
+// each policy, across thread counts. Mid-sequence flips are pinned against
+// a manual set_attention_policy() swap at the crossover step.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,6 +31,7 @@ using policy_test::DrainOutcome;
 using policy_test::Workload;
 using policy_test::above_crossover_workload;
 using policy_test::below_crossover_workload;
+using policy_test::expect_same_outcome;
 using policy_test::gated_cfg;
 using policy_test::gated_policy;
 using policy_test::make_request;
@@ -93,147 +95,82 @@ TEST(GatedConformance, CrossoverLandsInTestWindow) {
 // ---------------------------------------------------------------------------
 // Whole-drain bit-identity.
 
-void expect_same_outcome(const DrainOutcome& a, const DrainOutcome& b) {
-  ASSERT_EQ(a.results.size(), b.results.size());
-  for (std::size_t i = 0; i < a.results.size(); ++i) {
-    SCOPED_TRACE("result " + std::to_string(i));
-    EXPECT_EQ(a.results[i].request_id, b.results[i].request_id);
-    EXPECT_EQ(a.results[i].status, b.results[i].status);
-    EXPECT_EQ(a.results[i].output, b.results[i].output);
-    EXPECT_EQ(a.results[i].prompt_tokens, b.results[i].prompt_tokens);
-    EXPECT_EQ(a.results[i].decode_steps, b.results[i].decode_steps);
-    EXPECT_EQ(a.results[i].preemptions, b.results[i].preemptions);
-    EXPECT_EQ(a.results[i].first_token_step, b.results[i].first_token_step);
-    EXPECT_EQ(a.results[i].finish_step, b.results[i].finish_step);
-  }
-  EXPECT_EQ(a.stats.prefill_tokens, b.stats.prefill_tokens);
-  EXPECT_EQ(a.stats.decode_steps, b.stats.decode_steps);
-  EXPECT_EQ(a.stats.decode_dense_steps, b.stats.decode_dense_steps);
-  EXPECT_EQ(a.stats.decode_sparse_steps, b.stats.decode_sparse_steps);
-  EXPECT_EQ(a.stats.pages_visited, b.stats.pages_visited);
-  EXPECT_EQ(a.stats.tokens_visited, b.stats.tokens_visited);
-  EXPECT_EQ(a.stats.selector_runs, b.stats.selector_runs);
-  EXPECT_EQ(a.stats.selector_reuses, b.stats.selector_reuses);
-  EXPECT_EQ(a.stats.sequences_created, b.stats.sequences_created);
-  EXPECT_EQ(a.stats.sequences_released, b.stats.sequences_released);
-  EXPECT_EQ(a.prefix.hits, b.prefix.hits);
-  EXPECT_EQ(a.prefix.tokens_reused, b.prefix.tokens_reused);
-  EXPECT_EQ(a.prefix.cow_copies, b.prefix.cow_copies);
-  EXPECT_EQ(a.sched_stats.steps, b.sched_stats.steps);
-  EXPECT_EQ(a.sched_stats.admitted, b.sched_stats.admitted);
-  EXPECT_EQ(a.sched_stats.preemptions, b.sched_stats.preemptions);
-  EXPECT_EQ(a.sched_stats.deferred_admissions,
-            b.sched_stats.deferred_admissions);
-  EXPECT_EQ(a.sched_stats.prefill_chunks, b.sched_stats.prefill_chunks);
-}
-
-constexpr std::size_t kThreadMatrix[] = {1, 2, 8};
-
 TEST(GatedConformance, BelowCrossoverEqualsAlwaysDense) {
-  for (const std::size_t threads : kThreadMatrix) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    const DrainOutcome gated =
-        run_drain(gated_policy(), threads, below_crossover_workload());
-    const DrainOutcome dense =
-        run_drain(always_dense_policy(), threads, below_crossover_workload());
-    expect_same_outcome(gated, dense);
-    // Every step routed dense: the gate genuinely took the dense path.
-    EXPECT_EQ(gated.stats.decode_sparse_steps, 0u);
-    EXPECT_EQ(gated.stats.decode_dense_steps, gated.stats.decode_steps);
-    EXPECT_GT(gated.stats.decode_steps, 0u);
-  }
+  const DrainOutcome gated =
+      run_drain(gated_policy(), 1, below_crossover_workload());
+  const DrainOutcome dense =
+      run_drain(always_dense_policy(), 1, below_crossover_workload());
+  expect_same_outcome(gated, dense);
+  // Every step routed dense: the gate genuinely took the dense path.
+  EXPECT_EQ(gated.stats.decode_sparse_steps, 0u);
+  EXPECT_EQ(gated.stats.decode_dense_steps, gated.stats.decode_steps);
+  EXPECT_GT(gated.stats.decode_steps, 0u);
 }
 
 TEST(GatedConformance, AboveCrossoverEqualsAlwaysSparse) {
-  for (const std::size_t threads : kThreadMatrix) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    const DrainOutcome gated =
-        run_drain(gated_policy(), threads, above_crossover_workload());
-    const DrainOutcome sparse =
-        run_drain(always_sparse_policy(), threads, above_crossover_workload());
-    expect_same_outcome(gated, sparse);
-    EXPECT_EQ(gated.stats.decode_dense_steps, 0u);
-    EXPECT_EQ(gated.stats.decode_sparse_steps, gated.stats.decode_steps);
-    // The contexts are past the selector budget, so sparse really pruned.
-    EXPECT_GT(gated.stats.selector_runs, 0u);
-  }
+  const DrainOutcome gated =
+      run_drain(gated_policy(), 1, above_crossover_workload());
+  const DrainOutcome sparse =
+      run_drain(always_sparse_policy(), 1, above_crossover_workload());
+  expect_same_outcome(gated, sparse);
+  EXPECT_EQ(gated.stats.decode_dense_steps, 0u);
+  EXPECT_EQ(gated.stats.decode_sparse_steps, gated.stats.decode_steps);
+  // The contexts are past the selector budget, so sparse really pruned.
+  EXPECT_GT(gated.stats.selector_runs, 0u);
 }
 
 TEST(GatedConformance, PreemptionReplayBelowCrossover) {
-  // The scheduler_test pressure recipe: six mixed requests against a
-  // 30-page budget force deferrals and recompute preemption; the replayed
-  // sequences revisit the same context lengths, so gating replays too.
+  // Six mixed requests against a 30-page budget force deferrals and
+  // preemption; replay re-decodes at the same context lengths, so gating
+  // replays too.
   const Workload load = {{12, 6}, {40, 3}, {8, 9}, {24, 5}, {16, 2}, {33, 7}};
-  for (const std::size_t threads : kThreadMatrix) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    const DrainOutcome gated =
-        run_drain(gated_policy(), threads, load, /*page_budget=*/30);
-    const DrainOutcome dense =
-        run_drain(always_dense_policy(), threads, load, /*page_budget=*/30);
-    expect_same_outcome(gated, dense);
-    EXPECT_GT(gated.sched_stats.preemptions, 0u);
-    EXPECT_EQ(gated.stats.decode_sparse_steps, 0u);
-  }
+  const DrainOutcome gated =
+      run_drain(gated_policy(), 1, load, /*page_budget=*/30);
+  const DrainOutcome dense =
+      run_drain(always_dense_policy(), 1, load, /*page_budget=*/30);
+  expect_same_outcome(gated, dense);
+  EXPECT_GT(gated.sched_stats.preemptions, 0u);
+  EXPECT_EQ(gated.stats.decode_sparse_steps, 0u);
 }
 
 TEST(GatedConformance, PreemptionReplayAboveCrossover) {
-  for (const std::size_t threads : kThreadMatrix) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    const DrainOutcome gated = run_drain(gated_policy(), threads,
-                                         above_crossover_workload(),
-                                         /*page_budget=*/48);
-    const DrainOutcome sparse = run_drain(always_sparse_policy(), threads,
-                                          above_crossover_workload(),
-                                          /*page_budget=*/48);
-    expect_same_outcome(gated, sparse);
-    EXPECT_GT(gated.sched_stats.preemptions, 0u);
-    EXPECT_EQ(gated.stats.decode_dense_steps, 0u);
-  }
+  const DrainOutcome gated = run_drain(gated_policy(), 1,
+                                       above_crossover_workload(),
+                                       /*page_budget=*/48);
+  const DrainOutcome sparse = run_drain(always_sparse_policy(), 1,
+                                        above_crossover_workload(),
+                                        /*page_budget=*/48);
+  expect_same_outcome(gated, sparse);
+  EXPECT_GT(gated.sched_stats.preemptions, 0u);
+  EXPECT_EQ(gated.stats.decode_dense_steps, 0u);
 }
 
 TEST(GatedConformance, PrefixCacheOnStaysBitIdentical) {
   // More requests than batch slots, with overlapping prompts: requests
   // admitted after an earlier finish attach its cached prefix. The attach
   // changes how a context was built, never its length, so the gate must
-  // not notice.
+  // not notice. (Cache on ≡ cache off is drain_oracle_test's output check.)
   const Workload below_shared = {{24, 8}, {12, 6}, {18, 4}, {8, 10},
                                  {24, 6}, {20, 5}, {16, 3}, {22, 4}};
   const Workload above_shared = {
       {96, 8}, {104, 6}, {112, 4}, {100, 6}, {96, 5}};
-  for (const std::size_t threads : kThreadMatrix) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    const DrainOutcome gated =
-        run_drain(gated_policy(), threads, below_shared,
-                  /*page_budget=*/0, /*prefix_cache=*/true);
-    const DrainOutcome dense =
-        run_drain(always_dense_policy(), threads, below_shared,
-                  /*page_budget=*/0, /*prefix_cache=*/true);
-    expect_same_outcome(gated, dense);
-    EXPECT_GT(gated.prefix.hits, 0u);
+  const DrainOutcome gated =
+      run_drain(gated_policy(), 1, below_shared,
+                /*page_budget=*/0, /*prefix_cache=*/true);
+  const DrainOutcome dense =
+      run_drain(always_dense_policy(), 1, below_shared,
+                /*page_budget=*/0, /*prefix_cache=*/true);
+  expect_same_outcome(gated, dense);
+  EXPECT_GT(gated.prefix.hits, 0u);
 
-    // Cache on vs cache off: same tokens out of the gated engine, matched
-    // by request id (completion order may shift — attaches shorten
-    // prefills — but the tokens may not).
-    const DrainOutcome uncached = run_drain(gated_policy(), threads,
-                                            below_shared);
-    ASSERT_EQ(gated.results.size(), uncached.results.size());
-    for (const RequestResult& r : gated.results) {
-      for (const RequestResult& u : uncached.results) {
-        if (u.request_id == r.request_id) {
-          EXPECT_EQ(r.output, u.output);
-        }
-      }
-    }
-
-    const DrainOutcome gated_hi =
-        run_drain(gated_policy(), threads, above_shared,
-                  /*page_budget=*/0, /*prefix_cache=*/true);
-    const DrainOutcome sparse_hi =
-        run_drain(always_sparse_policy(), threads, above_shared,
-                  /*page_budget=*/0, /*prefix_cache=*/true);
-    expect_same_outcome(gated_hi, sparse_hi);
-    EXPECT_GT(gated_hi.prefix.hits, 0u);
-  }
+  const DrainOutcome gated_hi =
+      run_drain(gated_policy(), 1, above_shared,
+                /*page_budget=*/0, /*prefix_cache=*/true);
+  const DrainOutcome sparse_hi =
+      run_drain(always_sparse_policy(), 1, above_shared,
+                /*page_budget=*/0, /*prefix_cache=*/true);
+  expect_same_outcome(gated_hi, sparse_hi);
+  EXPECT_GT(gated_hi.prefix.hits, 0u);
 }
 
 TEST(GatedConformance, NullPolicyEqualsAlwaysSparse) {
@@ -302,30 +239,6 @@ TEST(GatedConformance, MidFlipEqualsManualPolicySwap) {
   (void)dense_stats;
   for (std::size_t i = 0; i < cross - prompt_len; ++i) {
     EXPECT_EQ(gated_out[i], dense_out[i]) << "token " << i;
-  }
-}
-
-TEST(GatedConformance, MidFlipThroughSchedulerCountsDecisions) {
-  // Same flip driven by the scheduler (chunked prefill → decode handoff),
-  // at every thread count: the per-request route counts are a pure
-  // function of (prompt_len, crossover), independent of scheduling.
-  const auto gate = gated_policy();
-  const std::size_t cross = gate->crossover();
-  const Workload load = {{cross - 6, 12}, {cross - 14, 10}, {cross + 2, 6}};
-  std::size_t expect_dense = 0;
-  std::size_t expect_total = 0;
-  for (const auto& [prompt_len, new_tokens] : load) {
-    for (std::size_t i = 1; i < new_tokens; ++i) {
-      ++expect_total;
-      if (prompt_len + i < cross) ++expect_dense;
-    }
-  }
-  for (const std::size_t threads : kThreadMatrix) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    const DrainOutcome out = run_drain(gate, threads, load);
-    EXPECT_EQ(out.stats.decode_steps, expect_total);
-    EXPECT_EQ(out.stats.decode_dense_steps, expect_dense);
-    EXPECT_EQ(out.stats.decode_sparse_steps, expect_total - expect_dense);
   }
 }
 

@@ -1,17 +1,15 @@
 // Randomized stress / failure-injection tests: long random operation
-// sequences against the stateful components (allocator, caches, scheduler,
+// sequences against the stateful components (allocator, caches, engine,
 // reusable selector), checking conservation invariants after every step.
+// Random scheduler drains live in drain_oracle_test.
 #include <gtest/gtest.h>
 
-#include <deque>
-#include <map>
 #include <vector>
 
 #include "baselines/baseline_engines.hpp"
 #include "kv/two_way_cache.hpp"
 #include "numeric/rng.hpp"
-#include "policy_test_util.hpp"
-#include "serve/scheduler.hpp"
+#include "serve/engine.hpp"
 #include "sparse/reusable_selector.hpp"
 
 namespace lserve {
@@ -112,39 +110,6 @@ TEST(StreamingCacheFuzz, WindowInvariantUnderRandomLengths) {
   }
 }
 
-TEST(SchedulerFuzz, RandomRequestMixAllComplete) {
-  serve::EngineConfig cfg = baselines::vllm_config(model::tiny());
-  cfg.dense_pages.page_size = 8;
-  cfg.dense_pages.logical_page_size = 8;
-  cfg.tiling = {8, 8};
-  cfg.pool_pages = 1024;
-  serve::Engine engine(cfg);
-  serve::Scheduler sched(engine, 3);
-  num::Rng rng(77);
-  const int total = 9;
-  std::map<std::uint64_t, std::size_t> expected_tokens;
-  for (int i = 0; i < total; ++i) {
-    serve::Request req;
-    const std::size_t prompt = 4 + rng.next_below(40);
-    req.prompt.resize(prompt);
-    for (std::size_t t = 0; t < prompt; ++t) {
-      req.prompt[t] = static_cast<std::int32_t>(rng.next_below(251));
-    }
-    req.max_new_tokens = 1 + rng.next_below(6);
-    const auto id = sched.submit(std::move(req));
-    expected_tokens[id] = 0;  // filled below
-  }
-  const auto results = sched.drain();
-  EXPECT_EQ(results.size(), static_cast<std::size_t>(total));
-  std::set<std::uint64_t> seen;
-  for (const auto& r : results) {
-    EXPECT_TRUE(expected_tokens.count(r.request_id));
-    EXPECT_TRUE(seen.insert(r.request_id).second) << "duplicate result";
-    EXPECT_GE(r.output.size(), 1u);
-  }
-  EXPECT_EQ(engine.dense_allocator().pages_in_use(), 0u);
-}
-
 TEST(ReusableSelectorFuzz, ArbitraryStepPatternsNeverReturnStaleSlot) {
   sparse::ReusableSelector sel(5, 4);
   num::Rng rng(99);
@@ -160,58 +125,6 @@ TEST(ReusableSelectorFuzz, ArbitraryStepPatternsNeverReturnStaleSlot) {
     ASSERT_EQ(table[0].page, static_cast<kv::PageId>(slot));
     // The cached chunk must match the queried step's chunk.
     ASSERT_EQ(table[0].block, static_cast<std::uint32_t>(step / 4));
-  }
-}
-
-TEST(PolicyFuzz, GatedFlipsUnderPressureNeverLeakPages) {
-  // Random schedules whose contexts straddle the cost-model crossover, so
-  // the route flips mid-decode and at the chunked-prefill→decode handoff
-  // (the two seeded edge requests end prefill 1 and 2 tokens short of the
-  // crossover), under a page budget tight enough to preempt — replayed
-  // sequences re-cross the threshold — with the prefix cache on for half
-  // the trials. Every drain must complete, exercise both routes, and
-  // return every page (LSERVE_AUDIT builds attribute any leak).
-  const auto gate = serve::policy_test::gated_policy();
-  const std::size_t cross = gate->crossover();
-  num::Rng rng(2025);
-  for (int trial = 0; trial < 6; ++trial) {
-    serve::EngineConfig ec = serve::policy_test::gated_cfg();
-    const bool cache = (trial % 2) == 1;
-    ec.enable_prefix_cache = cache;
-    if (cache) ec.memory.prefix_cache_pages = 64;
-    serve::Engine engine(ec);
-    serve::SchedulerConfig sc;
-    sc.max_batch = 3;
-    sc.decode_threads = 1 + rng.next_below(4);
-    sc.memory.page_budget = 40 + rng.next_below(24);
-    sc.policy = gate;
-    serve::Scheduler sched(engine, sc);
-    sched.submit(serve::policy_test::make_request(cross - 1,
-                                                  1 + rng.next_below(6)));
-    sched.submit(serve::policy_test::make_request(cross - 2,
-                                                  2 + rng.next_below(6)));
-    const std::size_t extra = 5 + rng.next_below(4);
-    for (std::size_t i = 0; i < extra; ++i) {
-      sched.submit(serve::policy_test::make_request(
-          cross - 20 + rng.next_below(40), 1 + rng.next_below(12)));
-    }
-    const auto results = sched.drain();
-    ASSERT_EQ(results.size(), extra + 2) << "trial " << trial;
-    for (const auto& r : results) {
-      ASSERT_GE(r.output.size(), 1u) << "trial " << trial;
-    }
-    // The workload genuinely crossed the threshold both ways.
-    EXPECT_GT(engine.stats().decode_dense_steps, 0u) << "trial " << trial;
-    EXPECT_GT(engine.stats().decode_sparse_steps, 0u) << "trial " << trial;
-    // Page conservation: after the drain only the prefix cache may retain
-    // pages, and a full reclaim returns those too.
-    EXPECT_EQ(engine.total_pages_in_use(), engine.prefix_cache_pages_held())
-        << "trial " << trial;
-    if (cache) {
-      engine.reclaim_prefix_pages(static_cast<std::size_t>(-1));
-    }
-    EXPECT_EQ(engine.total_pages_in_use(), 0u) << "trial " << trial;
-    EXPECT_EQ(engine.audit_report(), "") << "trial " << trial;
   }
 }
 

@@ -473,51 +473,6 @@ TEST(SchedulerObs, PreemptionDoesNotDoubleCountTtft) {
             sched.scheduler_stats().preemptions);
 }
 
-// The bit-identity pin: telemetry must never feed back into scheduling.
-std::vector<serve::RequestResult> drain_with(bool with_obs,
-                                             std::size_t threads) {
-  serve::Engine engine(engine_cfg());
-  MetricsRegistry reg;
-  StepTracer tracer(32);
-  auto clk = std::make_shared<FakeClock>(17);
-  serve::SchedulerConfig sc;
-  sc.max_batch = 4;
-  sc.decode_threads = threads;
-  sc.memory.page_budget = 48;  // exercise deferral + preemption under telemetry.
-  if (with_obs) {
-    sc.metrics = &reg;
-    sc.tracer = &tracer;
-    sc.clock = clk;
-  }
-  serve::Scheduler sched(engine, sc);
-  for (std::size_t i = 0; i < 10; ++i) {
-    sched.submit(make_request(8 + 3 * i, 4 + i % 3));
-  }
-  return sched.drain();
-}
-
-TEST(SchedulerObs, MetricsOnAndOffDrainBitIdenticalAcrossThreadCounts) {
-  const std::vector<serve::RequestResult> ref = drain_with(false, 1);
-  ASSERT_EQ(ref.size(), 10u);
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    const std::vector<serve::RequestResult> off = drain_with(false, threads);
-    const std::vector<serve::RequestResult> on = drain_with(true, threads);
-    ASSERT_EQ(off.size(), ref.size()) << threads << " threads";
-    ASSERT_EQ(on.size(), ref.size()) << threads << " threads";
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(off[i].request_id, ref[i].request_id);
-      EXPECT_EQ(on[i].request_id, ref[i].request_id);
-      EXPECT_EQ(off[i].output, ref[i].output);
-      EXPECT_EQ(on[i].output, ref[i].output);
-      EXPECT_EQ(on[i].status, ref[i].status);
-      EXPECT_EQ(on[i].first_token_step, ref[i].first_token_step);
-      EXPECT_EQ(on[i].finish_step, ref[i].finish_step);
-      EXPECT_EQ(on[i].preemptions, ref[i].preemptions);
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Counters owned below the scheduler — kv::PrefixCacheStats, the route
 // split in EngineStats, kv::TierStats — are exported by raising each

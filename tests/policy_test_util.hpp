@@ -1,6 +1,6 @@
-// Shared fixtures for the attention-policy conformance harness
-// (tests/attention_policy_test.cpp) and the policy-flip fuzz suites
-// (tests/fuzz_test.cpp).
+// Shared fixtures for the attention-policy conformance suite
+// (tests/attention_policy_test.cpp), the differential drain harness
+// (tests/drain_oracle_test.cpp).
 //
 // The gating geometry: the LServe preset scaled to the test substrate
 // (tiny model, 8-token pages, 64-token selector budget) plus a CPU-proxy
@@ -13,8 +13,11 @@
 #ifndef LSERVE_TESTS_POLICY_TEST_UTIL_HPP_
 #define LSERVE_TESTS_POLICY_TEST_UTIL_HPP_
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
 #include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -84,11 +87,45 @@ inline Workload above_crossover_workload() {
 }
 
 struct DrainOutcome {
-  std::vector<RequestResult> results;
+  std::vector<RequestResult> results;  ///< completion order.
   EngineStats stats;
   SchedulerStats sched_stats;
   kv::PrefixCacheStats prefix;  ///< all zero when the cache is off.
 };
+
+/// Every RequestResult field.
+inline auto result_fields(const RequestResult& r) {
+  return std::tie(r.request_id, r.status, r.output, r.prompt_tokens,
+                  r.decode_steps, r.preemptions, r.submit_step,
+                  r.first_token_step, r.finish_step);
+}
+
+/// The seven SchedulerStats fields, the engine's work counters (route
+/// split, visits, selector work, sequence lifecycle) and the prefix-cache
+/// hit, reuse and copy-on-write counters, in that order.
+inline std::vector<std::size_t> schedule_counters(const DrainOutcome& d) {
+  const SchedulerStats& s = d.sched_stats;
+  const EngineStats& e = d.stats;
+  return {s.steps, s.admitted, s.preemptions, s.deferred_admissions,
+          s.prefill_chunks, s.cancelled, s.deadline_exceeded,
+          e.prefill_tokens, e.decode_steps, e.decode_dense_steps,
+          e.decode_sparse_steps, e.pages_visited, e.tokens_visited,
+          e.selector_runs, e.selector_reuses, e.sequences_created,
+          e.sequences_released, d.prefix.hits, d.prefix.tokens_reused,
+          d.prefix.cow_copies};
+}
+
+/// Two drains took the same schedule: every result, in completion order,
+/// and every counter above.
+inline void expect_same_outcome(const DrainOutcome& a,
+                                const DrainOutcome& b) {
+  ASSERT_EQ(a.results.size(), b.results.size());
+  for (std::size_t i = 0; i < a.results.size(); ++i) {
+    EXPECT_EQ(result_fields(a.results[i]), result_fields(b.results[i]))
+        << "completion " << i;
+  }
+  EXPECT_EQ(schedule_counters(a), schedule_counters(b));
+}
 
 /// Submits `load` against a fresh engine + scheduler carrying `policy`
 /// and drains. `page_budget` > 0 turns on admission control/preemption;

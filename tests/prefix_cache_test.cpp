@@ -1,6 +1,8 @@
-// Tests for the radix prefix cache (kv/prefix_cache) and its serving
-// integration: bit-exact attach-resume, copy-on-write divergence, refcount
-// lifecycle across preemption/cancel, and LRU eviction under page budgets.
+// Tests for the radix prefix cache (kv/prefix_cache) and its engine
+// integration: bit-exact attach-resume, copy-on-write divergence, and LRU
+// eviction under page budgets. Scheduler drains with the cache on — cache
+// on ≡ cache off, refcounts across preemption and cancel — are rows of
+// drain_oracle_test.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,7 +11,6 @@
 
 #include "baselines/baseline_engines.hpp"
 #include "serve/engine.hpp"
-#include "serve/scheduler.hpp"
 
 namespace lserve::serve {
 namespace {
@@ -165,95 +166,6 @@ TEST(PrefixCacheEviction, BudgetHoldsAndSurvivorsStayExact) {
   const std::vector<std::int32_t> want = generate_ref(mode, prompt, 3);
   const TurnResult got = run_turn(eng, prompt, 3);
   EXPECT_EQ(want, got.output);
-}
-
-// ---------------------------------------------------------------------------
-// Scheduler-level integration.
-
-Request make_request(std::vector<std::int32_t> prompt, std::size_t budget,
-                     std::vector<std::int32_t>* out) {
-  Request req;
-  req.prompt = std::move(prompt);
-  req.max_new_tokens = budget;
-  req.on_token = [out](std::uint64_t, std::int32_t tok, std::size_t) {
-    out->push_back(tok);
-  };
-  return req;
-}
-
-/// Six requests, three distinct continuations of one shared system
-/// prompt, each submitted twice. Returns the streamed outputs in
-/// submission order.
-std::vector<std::vector<std::int32_t>> sched_outputs(bool cache_on,
-                                                     std::size_t threads) {
-  Engine eng(cache_config(cache_on));
-  eng.set_head_kinds(partition(eng, 2));
-  SchedulerConfig sc;
-  sc.max_batch = 4;
-  sc.decode_threads = threads;
-  Scheduler sched(eng, sc);
-
-  const std::vector<std::int32_t> sys = prompt_ids(24);
-  std::vector<std::vector<std::int32_t>> outs(6);
-  for (int i = 0; i < 6; ++i) {
-    std::vector<std::int32_t> prompt = sys;
-    const std::vector<std::int32_t> user =
-        prompt_ids(9, static_cast<std::int32_t>(31 * (i % 3) + 2));
-    prompt.insert(prompt.end(), user.begin(), user.end());
-    sched.submit(make_request(std::move(prompt), 5, &outs[i]));
-  }
-  sched.drain();
-  if (cache_on) {
-    // Later admissions ride the prefix the earlier retirements inserted.
-    EXPECT_GT(eng.prefix_cache()->stats().hits, 0u);
-  }
-  return outs;
-}
-
-// The cache must be invisible in outputs: cache on == cache off, token for
-// token, at every decode parallelism.
-TEST(PrefixCacheScheduler, BitIdenticalCacheOnOffAcrossThreads) {
-  const auto ref = sched_outputs(false, 1);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{8}}) {
-    EXPECT_EQ(ref, sched_outputs(false, threads)) << threads << " threads";
-    EXPECT_EQ(ref, sched_outputs(true, threads)) << threads << " threads";
-  }
-}
-
-// Refcount lifecycle under memory pressure: preemption and cancellation
-// release sequence references while the tree keeps its own; after drain
-// the only live pages are the cache's, and a full reclaim empties both
-// pools.
-TEST(PrefixCacheScheduler, RefcountsSurvivePreemptionCancelAndReclaim) {
-  Engine eng(cache_config(true));
-  eng.set_head_kinds(partition(eng, 2));
-  SchedulerConfig sc;
-  sc.max_batch = 2;
-  sc.memory.page_budget = 28;
-  Scheduler sched(eng, sc);
-
-  const std::vector<std::int32_t> sys = prompt_ids(16);
-  std::vector<std::vector<std::int32_t>> outs(3);
-  std::uint64_t ids[3];
-  for (int i = 0; i < 3; ++i) {
-    std::vector<std::int32_t> prompt = sys;
-    prompt[3] += static_cast<std::int32_t>(i);  // distinct streams.
-    ids[i] = sched.submit(
-        make_request(std::move(prompt), i == 1 ? 20 : 12, &outs[i]));
-  }
-  for (int i = 0; i < 6; ++i) sched.step();
-  sched.cancel(ids[2]);
-  sched.drain();
-
-  EXPECT_GE(sched.scheduler_stats().preemptions, 1u);
-  EXPECT_EQ(sched.scheduler_stats().cancelled, 1u);
-  // Every live page is a prefix-cache reference...
-  EXPECT_EQ(eng.total_pages_in_use(), eng.prefix_cache_pages_held());
-  // ...and dropping the tree returns the pools to empty.
-  eng.reclaim_prefix_pages(~std::size_t{0});
-  EXPECT_EQ(eng.total_pages_in_use(), 0u);
-  EXPECT_EQ(eng.prefix_cache_pages_held(), 0u);
 }
 
 }  // namespace

@@ -1,4 +1,7 @@
-// Tests for the continuous-batching scheduler (src/serve/scheduler).
+// Tests for the continuous-batching scheduler (src/serve/scheduler). Whole
+// drains — preemption replay against a serial run, bit identity across
+// decode threads, cache, tiering and metrics, page conservation — are
+// checked by drain_oracle_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -77,30 +80,6 @@ TEST(Scheduler, ContinuousAdmissionBackfillsSlots) {
   EXPECT_EQ(sched.results()[1].decode_steps, 5u);
 }
 
-TEST(Scheduler, ReleasesKvPagesAfterCompletion) {
-  Engine engine(cfg());
-  Scheduler sched(engine, 4);
-  for (int i = 0; i < 3; ++i) sched.submit(make_request(24, 3));
-  sched.drain();
-  EXPECT_EQ(engine.dense_allocator().pages_in_use(), 0u);
-}
-
-TEST(Scheduler, ResultsMatchDirectEngineCalls) {
-  // A scheduled request must produce the same tokens as calling the engine
-  // by hand (scheduling must not perturb computation).
-  Engine e1(cfg());
-  Scheduler sched(e1, 1);
-  Request req = make_request(12, 4);
-  sched.submit(req);
-  const auto results = sched.drain();
-
-  Engine e2(cfg());
-  const auto seq = e2.create_sequence();
-  const auto direct =
-      e2.generate(seq, std::span<const std::int32_t>(req.prompt), 4);
-  EXPECT_EQ(results[0].output, direct);
-}
-
 TEST(Scheduler, EmptyQueueStepReturnsFalse) {
   Engine engine(cfg());
   Scheduler sched(engine, 2);
@@ -129,66 +108,6 @@ TEST(ThreadPool, PropagatesTheFirstException) {
   std::atomic<int> count{0};
   pool.parallel_for(8, [&](std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 8);
-}
-
-// LServe-policy config (dynamic selector + streaming heads + reuse) so the
-// concurrency test exercises the full sparse decode path.
-EngineConfig sparse_cfg() {
-  EngineConfig c = baselines::lserve_config(model::tiny());
-  c.dense_pages.page_size = 8;
-  c.dense_pages.logical_page_size = 4;
-  c.streaming = {/*sink_tokens=*/4, /*local_tokens=*/8};
-  c.tiling = {8, 8};
-  c.pool_pages = 512;
-  return c;
-}
-
-struct DrainOutcome {
-  std::vector<RequestResult> results;
-  EngineStats stats;
-  SchedulerStats sched_stats;
-};
-
-DrainOutcome drain_at(std::size_t decode_threads) {
-  Engine engine(sparse_cfg());
-  Scheduler sched(engine, 4, decode_threads);
-  // Mixed prompt lengths and decode budgets (seeded via make_request) so
-  // admission, retirement and backfill all fire mid-run.
-  const std::size_t prompts[] = {12, 40, 8, 24, 16, 33};
-  const std::size_t budgets[] = {6, 3, 9, 5, 2, 7};
-  for (std::size_t i = 0; i < 6; ++i) {
-    sched.submit(make_request(prompts[i], budgets[i]));
-  }
-  DrainOutcome out;
-  out.results = sched.drain();
-  out.stats = engine.stats();
-  out.sched_stats = sched.scheduler_stats();
-  return out;
-}
-
-TEST(Scheduler, ParallelStepBitIdenticalToSerial) {
-  const DrainOutcome serial = drain_at(1);
-  ASSERT_EQ(serial.results.size(), 6u);
-  for (const std::size_t threads : {2u, 8u}) {
-    const DrainOutcome parallel = drain_at(threads);
-    // Completion order and every token must match bit-for-bit.
-    ASSERT_EQ(parallel.results.size(), serial.results.size());
-    for (std::size_t i = 0; i < serial.results.size(); ++i) {
-      EXPECT_EQ(parallel.results[i].request_id,
-                serial.results[i].request_id);
-      EXPECT_EQ(parallel.results[i].output, serial.results[i].output);
-      EXPECT_EQ(parallel.results[i].decode_steps,
-                serial.results[i].decode_steps);
-    }
-    // Telemetry merges deterministically after each batch's join.
-    EXPECT_EQ(parallel.stats.prefill_tokens, serial.stats.prefill_tokens);
-    EXPECT_EQ(parallel.stats.decode_steps, serial.stats.decode_steps);
-    EXPECT_EQ(parallel.stats.pages_visited, serial.stats.pages_visited);
-    EXPECT_EQ(parallel.stats.tokens_visited, serial.stats.tokens_visited);
-    EXPECT_EQ(parallel.stats.selector_runs, serial.stats.selector_runs);
-    EXPECT_EQ(parallel.stats.selector_reuses,
-              serial.stats.selector_reuses);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -293,55 +212,6 @@ TEST(Scheduler, OnePrefillChunkPerStepAlongsideDecodeBatch) {
 // ---------------------------------------------------------------------------
 // KV-memory admission control and preemption.
 
-TEST(Scheduler, PreemptionRequeuesAndMatchesUnpreemptedRun) {
-  // tiny model: 2 layers x 2 kv heads = 4 page streams, page_size 8, all
-  // dense under vllm_config. A totals 28 tokens (16 pages worst case), B
-  // totals 36 (20 pages); both pass admission against an empty pool, but
-  // their combined decode growth breaches the 28-page budget, so B (the
-  // newest) is preempted mid-decode, re-queued, and re-admitted only after
-  // A retires.
-  const Request req_a = make_request(16, 12);
-  Request req_b = make_request(16, 20);
-  req_b.prompt[3] += 1;  // distinct stream so outputs differ.
-
-  Engine reference_engine(cfg());
-  Scheduler reference(reference_engine, 2);
-  const auto ra = reference.submit(req_a);
-  const auto rb = reference.submit(req_b);
-  const auto unpreempted = reference.drain();
-  EXPECT_EQ(reference.scheduler_stats().preemptions, 0u);
-
-  Engine engine(cfg());
-  SchedulerConfig sc;
-  sc.max_batch = 2;
-  sc.memory.page_budget = 28;
-  Scheduler sched(engine, sc);
-  const auto id_a = sched.submit(req_a);
-  const auto id_b = sched.submit(req_b);
-  const auto results = sched.drain();
-
-  // Pressure fired and was absorbed: B preempted at least once, the drain
-  // completed every request, and nothing was poisoned.
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_GE(sched.scheduler_stats().preemptions, 1u);
-  EXPECT_GE(sched.scheduler_stats().deferred_admissions, 1u);
-  const RequestResult& a = by_id(results, id_a);
-  const RequestResult& b = by_id(results, id_b);
-  EXPECT_EQ(a.preemptions, 0u);
-  EXPECT_GE(b.preemptions, 1u);
-  ASSERT_EQ(b.output.size(), 20u);
-
-  // Recompute preemption is exact: the preempted request produces the same
-  // tokens as the unpreempted run.
-  EXPECT_EQ(a.output, by_id(unpreempted, ra).output);
-  EXPECT_EQ(b.output, by_id(unpreempted, rb).output);
-
-  // Every preempted and retired page went back to the free list.
-  EXPECT_EQ(engine.total_pages_in_use(), 0u);
-  EXPECT_EQ(engine.dense_allocator().free_pages(),
-            engine.dense_allocator().capacity());
-}
-
 TEST(Scheduler, AdmissionDeferredUntilMemoryFrees) {
   Engine engine(cfg());
   SchedulerConfig sc;
@@ -387,78 +257,6 @@ TEST(Scheduler, PagesReclaimedAcrossSequentialRequests) {
             engine.estimate_request_pages(24 + 4).dense_pages);
 }
 
-TEST(Scheduler, ParallelDrainReleasesAllPages) {
-  Engine engine(sparse_cfg());
-  Scheduler sched(engine, 4, 4);
-  for (int i = 0; i < 6; ++i) sched.submit(make_request(20, 4));
-  sched.drain();
-  EXPECT_EQ(engine.dense_allocator().pages_in_use(), 0u);
-  EXPECT_EQ(engine.stream_allocator().pages_in_use(), 0u);
-}
-
-/// Full-pressure lifecycle drain: sparse engine, chunked prefill, and a
-/// page budget tight enough that admission deferral and preemption both
-/// fire while requests complete.
-DrainOutcome drain_pressured_at(std::size_t decode_threads) {
-  EngineConfig ec = sparse_cfg();
-  ec.prefill_chunk_tokens = 8;
-  Engine engine(ec);
-  SchedulerConfig sc;
-  sc.max_batch = 4;
-  sc.decode_threads = decode_threads;
-  sc.memory.page_budget = 30;
-  Scheduler sched(engine, sc);
-  const std::size_t prompts[] = {12, 40, 8, 24, 16, 33};
-  const std::size_t budgets[] = {6, 3, 9, 5, 2, 7};
-  for (std::size_t i = 0; i < 6; ++i) {
-    sched.submit(make_request(prompts[i], budgets[i]));
-  }
-  DrainOutcome out;
-  out.results = sched.drain();
-  out.stats = engine.stats();
-  out.sched_stats = sched.scheduler_stats();
-  return out;
-}
-
-TEST(Scheduler, PressuredLifecycleDeterministicAcrossThreads) {
-  // Admission and preemption decisions feed off page counts, which are
-  // bit-identical after every batch join regardless of the decode thread
-  // count — so the whole lifecycle (including who gets preempted when)
-  // must replay identically at 1, 2 and 8 threads.
-  const DrainOutcome serial = drain_pressured_at(1);
-  ASSERT_EQ(serial.results.size(), 6u);
-  // The budget is genuinely binding in this scenario.
-  EXPECT_GT(serial.sched_stats.preemptions, 0u);
-  EXPECT_GT(serial.sched_stats.deferred_admissions, 0u);
-  for (const std::size_t threads : {2u, 8u}) {
-    const DrainOutcome parallel = drain_pressured_at(threads);
-    ASSERT_EQ(parallel.results.size(), serial.results.size());
-    for (std::size_t i = 0; i < serial.results.size(); ++i) {
-      EXPECT_EQ(parallel.results[i].request_id,
-                serial.results[i].request_id);
-      EXPECT_EQ(parallel.results[i].output, serial.results[i].output);
-      EXPECT_EQ(parallel.results[i].preemptions,
-                serial.results[i].preemptions);
-      EXPECT_EQ(parallel.results[i].first_token_step,
-                serial.results[i].first_token_step);
-      EXPECT_EQ(parallel.results[i].finish_step,
-                serial.results[i].finish_step);
-    }
-    EXPECT_EQ(parallel.sched_stats.steps, serial.sched_stats.steps);
-    EXPECT_EQ(parallel.sched_stats.admitted, serial.sched_stats.admitted);
-    EXPECT_EQ(parallel.sched_stats.preemptions,
-              serial.sched_stats.preemptions);
-    EXPECT_EQ(parallel.sched_stats.deferred_admissions,
-              serial.sched_stats.deferred_admissions);
-    EXPECT_EQ(parallel.sched_stats.prefill_chunks,
-              serial.sched_stats.prefill_chunks);
-    EXPECT_EQ(parallel.stats.prefill_tokens, serial.stats.prefill_tokens);
-    EXPECT_EQ(parallel.stats.decode_steps, serial.stats.decode_steps);
-    EXPECT_EQ(parallel.stats.pages_visited, serial.stats.pages_visited);
-    EXPECT_EQ(parallel.stats.tokens_visited, serial.stats.tokens_visited);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Streaming delivery, cancellation, and deadlines.
 
@@ -474,54 +272,6 @@ struct TokenLog {
     };
   }
 };
-
-TEST(Scheduler, OnTokenStreamsFullOutputInOrder) {
-  Engine engine(cfg());
-  Scheduler sched(engine, 2);
-  Request req = make_request(12, 6);
-  TokenLog log;
-  log.attach(req);
-  std::vector<RequestResult> done;
-  req.on_done = [&](const RequestResult& r) { done.push_back(r); };
-  sched.submit(req);
-  const auto results = sched.drain();
-
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].status, RequestStatus::kFinished);
-  // Every committed token was streamed, in order, before on_done fired.
-  EXPECT_EQ(log.tokens, results[0].output);
-  for (std::size_t i = 0; i < log.indices.size(); ++i) {
-    EXPECT_EQ(log.indices[i], i);
-  }
-  ASSERT_EQ(done.size(), 1u);
-  EXPECT_EQ(done[0].output, results[0].output);
-  EXPECT_EQ(done[0].status, RequestStatus::kFinished);
-}
-
-TEST(Scheduler, OnTokenNeverRedeliversAcrossPreemption) {
-  // The preemption scenario of PreemptionRequeuesAndMatchesUnpreemptedRun,
-  // with streaming attached to the preempted request: the replay restores
-  // output without re-delivering, so the stream is exactly the final
-  // output — no duplicates, no gaps.
-  const Request req_a = make_request(16, 12);
-  Request req_b = make_request(16, 20);
-  req_b.prompt[3] += 1;
-  TokenLog log;
-  log.attach(req_b);
-
-  Engine engine(cfg());
-  SchedulerConfig sc;
-  sc.max_batch = 2;
-  sc.memory.page_budget = 28;
-  Scheduler sched(engine, sc);
-  sched.submit(req_a);
-  const auto id_b = sched.submit(req_b);
-  const auto results = sched.drain();
-
-  const RequestResult& b = by_id(results, id_b);
-  EXPECT_GE(b.preemptions, 1u);
-  EXPECT_EQ(log.tokens, b.output);
-}
 
 TEST(Scheduler, CancelWaitingRequestNeverStarts) {
   Engine engine(cfg());
@@ -662,81 +412,10 @@ TEST(Scheduler, DeadlineAppliesWhileWaiting) {
   EXPECT_EQ(a.status, RequestStatus::kFinished);
   EXPECT_EQ(b.status, RequestStatus::kDeadlineExceeded);
   EXPECT_TRUE(b.output.empty());
+  // Submitted at step 0 with a 3-step deadline: enforced at the start of
+  // step 4, the first boundary past it.
+  EXPECT_EQ(b.finish_step, 4u);
   EXPECT_EQ(engine.total_pages_in_use(), 0u);
-}
-
-/// Mixed terminal traffic under memory pressure: cancellations scripted at
-/// fixed steps, deadlines, and preemption all firing in one drain.
-DrainOutcome drain_mixed_at(std::size_t decode_threads) {
-  EngineConfig ec = sparse_cfg();
-  ec.prefill_chunk_tokens = 8;
-  Engine engine(ec);
-  SchedulerConfig sc;
-  sc.max_batch = 4;
-  sc.decode_threads = decode_threads;
-  sc.memory.page_budget = 30;
-  Scheduler sched(engine, sc);
-  const std::size_t prompts[] = {12, 40, 8, 24, 16, 33};
-  const std::size_t budgets[] = {6, 30, 9, 5, 40, 7};
-  std::vector<std::uint64_t> ids;
-  for (std::size_t i = 0; i < 6; ++i) {
-    Request req = make_request(prompts[i], budgets[i]);
-    if (i == 4) req.deadline_steps = 9;  // dies mid-decode.
-    ids.push_back(sched.submit(req));
-  }
-  // Scripted cancellations at fixed step indices keep the run
-  // deterministic at any decode thread count: ids[1] is cancelled
-  // mid-decode (partial output), ids[3] while still waiting.
-  std::size_t steps = 0;
-  bool more = true;
-  while (more) {
-    more = sched.step();
-    ++steps;
-    if (steps == 10) sched.cancel(ids[1]);
-    if (steps == 14) sched.cancel(ids[3]);
-  }
-  DrainOutcome out;
-  out.results = sched.results();
-  out.stats = engine.stats();
-  out.sched_stats = sched.scheduler_stats();
-  // Whatever the terminal mix, every page went back to the pool.
-  EXPECT_EQ(engine.total_pages_in_use(), 0u);
-  EXPECT_EQ(engine.stats().sequences_created,
-            engine.stats().sequences_released);
-  return out;
-}
-
-TEST(Scheduler, MixedCancelDeadlinePreemptionDrainDeterministicAcrossThreads) {
-  const DrainOutcome serial = drain_mixed_at(1);
-  ASSERT_EQ(serial.results.size(), 6u);
-  // All three terminal mechanisms genuinely fired.
-  EXPECT_EQ(serial.sched_stats.cancelled, 2u);
-  EXPECT_EQ(serial.sched_stats.deadline_exceeded, 1u);
-  EXPECT_GT(serial.sched_stats.preemptions, 0u);
-  std::size_t finished = 0;
-  for (const RequestResult& r : serial.results) {
-    if (r.status == RequestStatus::kFinished) ++finished;
-  }
-  EXPECT_EQ(finished, 3u);
-
-  for (const std::size_t threads : {2u, 8u}) {
-    const DrainOutcome parallel = drain_mixed_at(threads);
-    ASSERT_EQ(parallel.results.size(), serial.results.size());
-    for (std::size_t i = 0; i < serial.results.size(); ++i) {
-      EXPECT_EQ(parallel.results[i].request_id,
-                serial.results[i].request_id);
-      EXPECT_EQ(parallel.results[i].status, serial.results[i].status);
-      EXPECT_EQ(parallel.results[i].output, serial.results[i].output);
-      EXPECT_EQ(parallel.results[i].finish_step,
-                serial.results[i].finish_step);
-    }
-    EXPECT_EQ(parallel.sched_stats.steps, serial.sched_stats.steps);
-    EXPECT_EQ(parallel.sched_stats.cancelled, serial.sched_stats.cancelled);
-    EXPECT_EQ(parallel.sched_stats.deadline_exceeded,
-              serial.sched_stats.deadline_exceeded);
-    EXPECT_EQ(parallel.sched_stats.preemptions,
-              serial.sched_stats.preemptions);
-  }
 }
 
 TEST(Scheduler, CrossThreadSubmitAndCancelWhileServing) {
