@@ -1,54 +1,114 @@
-// Ablation: prefill tile size (TQ x TK) for the block-sparse kernel.
+// Ablation: prefill tile size (TQ x TK) for the served prefill walk.
 //
 // The paper fixes TK to the page size; this ablation measures how tile
 // geometry trades mask granularity (finer tiles skip more of a streaming
-// mask) against per-tile overheads in the measured CPU kernel.
+// mask) against per-tile overheads. Each tile size prefills one streaming
+// head (Λ: 64 sink + 128 local tokens) and one causal dense head through
+// attn::fused_chunked_prefill, the served entry point, on a one-layer
+// cache whose fp16 pages are one tile long.
+#include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
 
-#include "attn/block_sparse_prefill.hpp"
+#include "attn/fused_attention.hpp"
 #include "common.hpp"
 #include "numeric/rng.hpp"
 
 using namespace lserve;
 
+namespace {
+
+kv::PageConfig tile_pages(std::size_t tile, std::size_t head_dim) {
+  kv::PageConfig pages;
+  pages.page_size = tile;
+  pages.logical_page_size = tile;
+  pages.head_dim = head_dim;
+  return pages;
+}
+
+/// One head of `kind` holding the whole prompt's K/V, written back the way
+/// a prefill chunk is (streaming eviction deferred), ready to attend.
+struct Head {
+  kv::PageAllocator alloc;
+  kv::TwoWayKvCache cache;
+  num::Tensor k, v, out;
+
+  Head(kv::HeadKind kind, std::size_t tile, const num::Tensor& keys,
+       const num::Tensor& values)
+      : alloc(tile_pages(tile, keys.cols()), keys.rows() / tile + 2),
+        cache(1, 1, {kind}, {/*sink=*/64, /*local=*/128}),
+        k(keys),
+        v(values),
+        out(keys.rows(), keys.cols()) {
+    for (std::size_t t = 0; t < k.rows(); ++t) {
+      cache.append_roundtrip(alloc, alloc, 0, 0, k.row(t), v.row(t));
+    }
+  }
+  ~Head() { cache.release(alloc, alloc); }
+
+  void prefill(const num::Tensor& q, const attn::FusedPrefillConfig& cfg) {
+    attn::fused_chunked_prefill(alloc, alloc, cache, 0, q.view(), k.view(),
+                                v.view(), q.cols(), cfg, out.view());
+  }
+};
+
+}  // namespace
+
 int main() {
   const std::size_t n = 1024, d = 64;
   num::Rng rng(5);
-  num::Tensor q(n, d), k(n, d), v(n, d), out(n, d);
+  num::Tensor q(n, d), k(n, d), v(n, d);
   for (auto* t : {&q, &k, &v}) {
     for (std::size_t i = 0; i < t->size(); ++i) t->data()[i] = rng.gaussian();
   }
-  const float scale = 0.125f;
+
+  // Per tile size: the streaming head, then the dense head; every head is
+  // timed in the same interleaved rounds.
+  const std::vector<std::size_t> tiles{16, 32, 64, 128};
+  std::vector<double> sparsity;
+  std::vector<std::unique_ptr<Head>> heads;
+  std::vector<std::function<void()>> runs;
+  for (const std::size_t tile : tiles) {
+    // Λ geometry fixed in TOKENS (64 sink + 128 local) across tile sizes.
+    attn::FusedPrefillConfig cfg;
+    cfg.tiling = {tile, tile};
+    cfg.streaming = {(64 + tile - 1) / tile,
+                     std::max<std::size_t>(1, 128 / tile)};
+    cfg.scale = 0.125f;
+    sparsity.push_back(
+        attn::BlockMask::streaming(n, tile, tile, cfg.streaming.sink_blocks,
+                                   cfg.streaming.local_blocks)
+            .sparsity_vs_causal(n, tile, tile));
+    for (const kv::HeadKind kind :
+         {kv::HeadKind::kStreaming, kv::HeadKind::kDense}) {
+      heads.push_back(std::make_unique<Head>(kind, tile, k, v));
+      runs.push_back([&q, head = heads.back().get(), cfg] {
+        head->prefill(q, cfg);
+      });
+    }
+  }
+  const std::vector<double> us = bench::time_interleaved_us(runs);
 
   bench::section(
-      "Ablation: tile size vs streaming-mask prefill latency (CPU, n=1024)");
-  bench::row("Tile (TQ=TK)", {"sparsity", "latency(us)", "vs dense"});
-  for (std::size_t tile : {16u, 32u, 64u, 128u}) {
-    // Λ geometry fixed in TOKENS (64 sink + 128 local) across tile sizes.
-    const std::size_t sink_blocks = (64 + tile - 1) / tile;
-    const std::size_t local_blocks = std::max<std::size_t>(1, 128 / tile);
-    attn::BlockMask mask =
-        attn::BlockMask::streaming(n, tile, tile, sink_blocks, local_blocks);
-    mask.finalize();
-    attn::BlockMask dense = attn::BlockMask::causal(n, tile, tile);
-    dense.finalize();
-    const attn::PrefillTiling tiling{tile, tile};
-    const double sparse_us = bench::time_us([&] {
-      attn::block_sparse_prefill(q.view(), k.view(), v.view(), mask, tiling,
-                                 scale, out.view());
-    });
-    const double dense_us = bench::time_us([&] {
-      attn::block_sparse_prefill(q.view(), k.view(), v.view(), dense, tiling,
-                                 scale, out.view());
-    });
-    bench::row(std::to_string(tile),
-               {bench::fmt(mask.sparsity_vs_causal(n, tile, tile), 2),
-                bench::fmt(sparse_us, 1),
-                bench::fmt(dense_us / sparse_us, 2) + "x"});
+      "Ablation: tile size vs streaming-head prefill latency (CPU, n=1024, "
+      "page = tile)");
+  bench::row("Tile (TQ=TK)",
+             {"sparsity", "stream(us)", "dense(us)", "vs dense"});
+  for (std::size_t i = 0; i < tiles.size(); ++i) {
+    const double stream_us = us[2 * i], dense_us = us[2 * i + 1];
+    bench::row(std::to_string(tiles[i]),
+               {bench::fmt(sparsity[i], 2), bench::fmt(stream_us, 1),
+                bench::fmt(dense_us, 1),
+                bench::fmt(dense_us / stream_us, 2) + "x"});
   }
   std::printf(
-      "\nFinding: finer tiles expose more sparsity from the same Λ mask\n"
-      "(higher skip ratio) but add per-tile bookkeeping; 32-64 token tiles\n"
-      "are the sweet spot, matching the paper's page-size-aligned TK.\n");
+      "\nFinding: the Λ band covers the same tokens at 16-64 token tiles\n"
+      "(sparsity ~0.66), so finer tiles skip nothing more and pay for more,\n"
+      "smaller spans; 128-token tiles round the sink up to a whole tile and\n"
+      "keep more (0.58). 64-token tiles are fastest, matching the paper's\n"
+      "page-size-aligned TK.\n");
   return 0;
 }

@@ -92,19 +92,32 @@ inline std::vector<std::int32_t> chat_next_prompt(
   return prompt;
 }
 
+/// Median wall time of each of `fns`, in microseconds, over `rounds`
+/// rounds that each call every fn once in turn: a host whose speed drifts
+/// during the run then slows every fn alike, so their ratios stay put.
+inline std::vector<double> time_interleaved_us(
+    const std::vector<std::function<void()>>& fns, int rounds = 15) {
+  std::vector<std::vector<double>> samples(fns.size());
+  for (int r = 0; r < rounds; ++r) {
+    for (std::size_t i = 0; i < fns.size(); ++i) {
+      const auto t0 = std::chrono::steady_clock::now();
+      fns[i]();
+      const auto t1 = std::chrono::steady_clock::now();
+      samples[i].push_back(
+          std::chrono::duration<double, std::micro>(t1 - t0).count());
+    }
+  }
+  std::vector<double> medians;
+  for (std::vector<double>& s : samples) {
+    std::sort(s.begin(), s.end());
+    medians.push_back(s[s.size() / 2]);
+  }
+  return medians;
+}
+
 /// Median wall time of `fn` over `reps` runs, in microseconds.
 inline double time_us(const std::function<void()>& fn, int reps = 5) {
-  std::vector<double> samples;
-  samples.reserve(reps);
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    samples.push_back(
-        std::chrono::duration<double, std::micro>(t1 - t0).count());
-  }
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
+  return time_interleaved_us({fn}, reps)[0];
 }
 
 /// Prints a separator + section header.

@@ -1,7 +1,6 @@
-// google-benchmark microbenchmarks for the hot kernels: block-sparse
-// prefill (iterator vs branchy vs dense), the paged walk on a prefill chunk
-// and on decode steps (full vs pruned tables), the served linears'
-// num::matmul, quantized load paths, and selector scoring.
+// google-benchmark microbenchmarks for the hot kernels: the paged walk on
+// a prefill chunk and on decode steps (full vs pruned tables), the served
+// linears' num::matmul, quantized load paths, and selector scoring.
 //
 // These complement the table-generating benches with statistically
 // rigorous per-kernel timings (use --benchmark_filter=... to narrow).
@@ -9,7 +8,6 @@
 
 #include <cmath>
 
-#include "attn/block_sparse_prefill.hpp"
 #include "attn/decode_attention.hpp"
 #include "attn/fused_attention.hpp"
 #include "eval/metrics.hpp"
@@ -23,66 +21,6 @@
 namespace {
 
 using namespace lserve;
-
-struct PrefillFixture {
-  num::Tensor q, k, v, out;
-  PrefillFixture(std::size_t n, std::size_t d)
-      : q(n, d), k(n, d), v(n, d), out(n, d) {
-    num::Rng rng(7);
-    for (auto* t : {&q, &k, &v}) {
-      for (std::size_t i = 0; i < t->size(); ++i) {
-        t->data()[i] = rng.gaussian();
-      }
-    }
-  }
-};
-
-void BM_PrefillDenseCausal(benchmark::State& state) {
-  const std::size_t n = state.range(0);
-  PrefillFixture fix(n, 64);
-  attn::BlockMask mask = attn::BlockMask::causal(n, 64, 64);
-  mask.finalize();
-  for (auto _ : state) {
-    attn::block_sparse_prefill(fix.q.view(), fix.k.view(), fix.v.view(),
-                               mask, {64, 64}, 0.125f, fix.out.view());
-    benchmark::DoNotOptimize(fix.out.data());
-  }
-  state.SetComplexityN(static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_PrefillDenseCausal)->Arg(256)->Arg(512)->Arg(1024)->Complexity();
-
-void BM_PrefillStreamingMask(benchmark::State& state) {
-  const std::size_t n = state.range(0);
-  PrefillFixture fix(n, 64);
-  attn::BlockMask mask = attn::BlockMask::streaming(n, 64, 64, 1, 2);
-  mask.finalize();
-  for (auto _ : state) {
-    attn::block_sparse_prefill(fix.q.view(), fix.k.view(), fix.v.view(),
-                               mask, {64, 64}, 0.125f, fix.out.view());
-    benchmark::DoNotOptimize(fix.out.data());
-  }
-  state.SetComplexityN(static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_PrefillStreamingMask)
-    ->Arg(256)
-    ->Arg(512)
-    ->Arg(1024)
-    ->Arg(2048)
-    ->Complexity();
-
-void BM_PrefillBranchyStreamingMask(benchmark::State& state) {
-  const std::size_t n = state.range(0);
-  PrefillFixture fix(n, 64);
-  attn::BlockMask mask = attn::BlockMask::streaming(n, 64, 64, 1, 2);
-  mask.finalize();
-  for (auto _ : state) {
-    attn::block_sparse_prefill_branchy(fix.q.view(), fix.k.view(),
-                                       fix.v.view(), mask, {64, 64}, 0.125f,
-                                       fix.out.view());
-    benchmark::DoNotOptimize(fix.out.data());
-  }
-}
-BENCHMARK(BM_PrefillBranchyStreamingMask)->Arg(1024)->Arg(2048);
 
 struct DecodeFixture {
   kv::PageAllocator alloc;

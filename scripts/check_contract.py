@@ -48,6 +48,14 @@ Rules (see docs/CONCURRENCY.md for rationale):
                          literals do not count). A function nobody calls
                          is dead code — delete it. Constructors,
                          operators and ALL_CAPS macros are not checked.
+  R9  test-only          Every function a src/ header declares is used
+                         outside tests/: in src/, bench/, examples/ or
+                         servebench/. A function only tests call is not
+                         product code — delete it or move it into tests/.
+                         TEST_ONLY_ALLOWED names the exceptions (oracles,
+                         test hooks, paper baselines, allocator
+                         introspection), each with its reason; an entry
+                         that no longer applies is itself a violation.
 
 Exit codes: 0 clean, 1 violations (one `path:line: rule: message` per
 finding).
@@ -100,6 +108,44 @@ RE_PAGE_MEMBER = re.compile(r"^\s*(?:const\s+)?(?:kv::)?Page\s*[&*]\s*\w+\s*;")
 
 # R8: trees searched for a use of each function a src/ header declares.
 USE_TREES = ("src", "tests", "bench", "examples", "servebench")
+TEST_TREE = "tests"
+
+# R9: functions that src/ keeps although only tests/ call them, each with
+# its reason. Names are matched like R8's, by identifier.
+TEST_ONLY_ALLOWED = {
+    "dense_paged_decode":
+        "oracle: the scalar dense decode the paged walk is checked against",
+    "readout_logits":
+        "oracle: the full logits of one hidden row, against which tests "
+        "check readout_argmax",
+    "update":
+        "oracle: KStats::update, the float min/max fold that "
+        "update_quantized must equal bit for bit",
+    "set_ns": "test hook: FakeClock sets the injected time",
+    "advance_ns": "test hook: FakeClock advances the injected time",
+    "audit_pinned_pages":
+        "test hook: the LSERVE_AUDIT pin-leak count at quiescence points",
+    "set_head_kinds":
+        "test hook: pins the dense/streaming head partition that "
+        "calibration would otherwise choose",
+    "drain": "test hook: runs an in-process Scheduler to completion",
+    "running":
+        "test hook: the Scheduler's admitted count between steps (the "
+        "server reads it from the lserve_sequences_running gauge)",
+    "waiting":
+        "test hook: the Scheduler's queued count between steps (the "
+        "server reads it from the lserve_sequences_waiting gauge)",
+    "qserve_config": "paper baseline: QServe, run by baseline_matrix_test",
+    "duo_attention_config":
+        "paper baseline: DuoAttention, run by baseline_matrix_test",
+    "quest_config": "paper baseline: Quest, run by baseline_matrix_test",
+    "minference_config":
+        "paper baseline: MInference, run by baseline_matrix_test",
+    "free_pages": "allocator introspection: pages on the free list",
+    "peak_pages_in_use": "allocator introspection: the pool's high-water mark",
+    "bytes_in_use": "allocator introspection: cold-tier bytes held",
+    "slots_in_use": "allocator introspection: cold-tier slots held",
+}
 SOURCE_SUFFIXES = (".cpp", ".hpp", ".h", ".cc")
 RE_IDENT = re.compile(r"[A-Za-z_]\w*")
 RE_TYPE_NAME = re.compile(r"\b(?:class|struct|union|enum|using)\s+(\w+)")
@@ -173,7 +219,12 @@ def is_declaration(code: str, start: int) -> bool:
         return False
     if code[k - 2:k] in ("->", "&&"):
         return False
-    if code[k - 1] in "*&>":
+    if code[k - 1] in "*&":
+        # `T* f(` declares; a space before the `*` or `&` marks a binary
+        # operator (`x * ns::f(`): pointer and reference types are written
+        # without one.
+        return not code[k - 2].isspace()
+    if code[k - 1] == ">":
         return True
     word_end = k
     while k > 0 and (code[k - 1].isalnum() or code[k - 1] == "_"):
@@ -187,8 +238,9 @@ def next_char(code: str, pos: int) -> str:
     return code[pos] if pos < len(code) else ""
 
 
-def check_uncalled(findings: list[str]) -> None:
-    """R8: functions declared in src/ headers that nothing calls."""
+def check_usage(findings: list[str]) -> None:
+    """R8 and R9: functions declared in src/ headers that nothing calls,
+    and those that only tests/ call."""
     files: dict[str, str] = {}
     for root in USE_TREES:
         base = REPO / root
@@ -220,18 +272,38 @@ def check_uncalled(findings: list[str]) -> None:
             line = code.count("\n", 0, m.start()) + 1
             candidates.setdefault(name, []).append(f"{rel}:{line}")
 
-    used: set[str] = set()
-    for code in files.values():
+    used_in: dict[str, set[str]] = {}
+    for rel, code in files.items():
+        tree = rel.split("/", 1)[0]
         for m in RE_IDENT.finditer(code):
             name = m.group(0)
-            if name in candidates and name not in used and \
+            if name in candidates and \
+                    tree not in used_in.get(name, ()) and \
                     not declared(code, m):
-                used.add(name)
-    for name in sorted(set(candidates) - used):
+                used_in.setdefault(name, set()).add(tree)
+    for name in sorted(candidates):
+        trees = used_in.get(name, set())
         for site in candidates[name]:
+            if not trees:
+                findings.append(
+                    f"{site}: uncalled: '{name}' is declared but never used "
+                    f"in {', '.join(USE_TREES)} (delete it)")
+            elif trees == {TEST_TREE} and name not in TEST_ONLY_ALLOWED:
+                findings.append(
+                    f"{site}: test-only: '{name}' is used only in "
+                    f"{TEST_TREE}/ (delete it or move it into {TEST_TREE}/; "
+                    "an oracle or test hook goes on TEST_ONLY_ALLOWED with "
+                    "its reason)")
+    for name, reason in TEST_ONLY_ALLOWED.items():
+        if not reason.strip():
             findings.append(
-                f"{site}: uncalled: '{name}' is declared but never used in "
-                f"{', '.join(USE_TREES)} (delete it)")
+                f"scripts/check_contract.py: test-only: allowlist entry "
+                f"'{name}' states no reason")
+        if used_in.get(name) != {TEST_TREE}:
+            findings.append(
+                f"scripts/check_contract.py: test-only: allowlist entry "
+                f"'{name}' is stale: no src/ header declares a function of "
+                f"that name that only {TEST_TREE}/ uses (remove the entry)")
 
 
 def strip_comments_and_strings(line: str) -> str:
@@ -300,8 +372,8 @@ def check_file(path: Path, findings: list[str]) -> None:
                 if RE_PAGE_MEMBER.match(code):
                     findings.append(
                         f"{rel}:{lineno}: page-pinning: Page pointer/"
-                        "reference stored as a member (store a PageId or "
-                        "PageRef; pin at the point of use)")
+                        "reference stored as a member (store a PageId; pin "
+                        "at the point of use)")
 
         # R6: NOLINT must be targeted and justified (checked in raw line —
         # NOLINT lives in comments).
@@ -347,7 +419,7 @@ def main() -> int:
                 continue
             n_files += 1
             check_file(path, findings)
-    check_uncalled(findings)
+    check_usage(findings)
 
     for f in findings:
         print(f)

@@ -1,21 +1,10 @@
-#include "attn/block_iterator.hpp"
-
-#include <algorithm>
-#include <cassert>
+#include "attn/block_mask.hpp"
 
 namespace lserve::attn {
 namespace {
 
 std::size_t ceil_div(std::size_t a, std::size_t b) noexcept {
   return (a + b - 1) / b;
-}
-
-/// Diagonal key block of query tile qb: the k-block containing the last
-/// token of the tile (clamped to the causal frontier).
-std::size_t diag_block(std::size_t qb, std::size_t tile_q, std::size_t tile_k,
-                       std::size_t n_tokens) noexcept {
-  const std::size_t last_row = std::min((qb + 1) * tile_q, n_tokens) - 1;
-  return last_row / tile_k;
 }
 
 }  // namespace
@@ -28,8 +17,9 @@ BlockMask::BlockMask(std::size_t q_blocks, std::size_t k_blocks, bool keep_all)
 BlockMask BlockMask::causal(std::size_t n_tokens, std::size_t tile_q,
                             std::size_t tile_k) {
   BlockMask m(ceil_div(n_tokens, tile_q), ceil_div(n_tokens, tile_k));
+  const PrefillTiling tiling{tile_q, tile_k};
   for (std::size_t qb = 0; qb < m.q_blocks_; ++qb) {
-    const std::size_t diag = diag_block(qb, tile_q, tile_k, n_tokens);
+    const std::size_t diag = tiling.diag_block(qb, n_tokens);
     for (std::size_t kb = 0; kb <= diag; ++kb) m.set(qb, kb, true);
   }
   return m;
@@ -39,12 +29,12 @@ BlockMask BlockMask::streaming(std::size_t n_tokens, std::size_t tile_q,
                                std::size_t tile_k, std::size_t sink_blocks,
                                std::size_t local_blocks) {
   BlockMask m(ceil_div(n_tokens, tile_q), ceil_div(n_tokens, tile_k));
+  const PrefillTiling tiling{tile_q, tile_k};
+  const StreamingBlocks lambda{sink_blocks, local_blocks};
   for (std::size_t qb = 0; qb < m.q_blocks_; ++qb) {
-    const std::size_t diag = diag_block(qb, tile_q, tile_k, n_tokens);
+    const std::size_t diag = tiling.diag_block(qb, n_tokens);
     for (std::size_t kb = 0; kb <= diag; ++kb) {
-      const bool is_sink = kb < sink_blocks;
-      const bool is_local = kb + local_blocks > diag;  // kb > diag-local
-      if (is_sink || is_local) m.set(qb, kb, true);
+      if (lambda.keeps(kb, diag)) m.set(qb, kb, true);
     }
   }
   return m;
@@ -58,36 +48,14 @@ std::size_t BlockMask::kept_blocks() const noexcept {
 
 double BlockMask::sparsity_vs_causal(std::size_t n_tokens, std::size_t tile_q,
                                      std::size_t tile_k) const noexcept {
+  const PrefillTiling tiling{tile_q, tile_k};
   std::size_t causal_total = 0;
   for (std::size_t qb = 0; qb < q_blocks_; ++qb) {
-    causal_total += diag_block(qb, tile_q, tile_k, n_tokens) + 1;
+    causal_total += tiling.diag_block(qb, n_tokens) + 1;
   }
   if (causal_total == 0) return 0.0;
   const std::size_t kept = kept_blocks();
   return 1.0 - static_cast<double>(kept) / static_cast<double>(causal_total);
-}
-
-void BlockMask::finalize() {
-  row_offset_.assign(q_blocks_ + 1, 0);
-  row_data_.clear();
-  row_data_.reserve(kept_blocks());
-  for (std::size_t qb = 0; qb < q_blocks_; ++qb) {
-    row_offset_[qb] = row_data_.size();
-    for (std::size_t kb = 0; kb < k_blocks_; ++kb) {
-      if (kept(qb, kb)) row_data_.push_back(static_cast<std::uint32_t>(kb));
-    }
-  }
-  row_offset_[q_blocks_] = row_data_.size();
-  finalized_ = true;
-}
-
-std::span<const std::uint32_t> BlockMask::row_blocks(
-    std::size_t qb) const noexcept {
-  assert(finalized_ && "call finalize() before iterating a BlockMask");
-  assert(qb < q_blocks_);
-  const std::size_t begin = row_offset_[qb];
-  const std::size_t end = row_offset_[qb + 1];
-  return {row_data_.data() + begin, end - begin};
 }
 
 }  // namespace lserve::attn

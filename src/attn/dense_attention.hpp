@@ -1,9 +1,9 @@
-// Reference dense attention.
+// Reference attention.
 //
-// These are the trusted oracles every sparse kernel is tested against and
-// the compute path of the dense baselines (vLLM-like). The prefill variant
-// is a naive O(N^2) row-softmax implementation; the decode variant walks a
-// full paged KV history.
+// These are the trusted oracles every sparse kernel is tested against. The
+// prefill variants are naive O(N^2) row-softmax implementations: causal
+// dense and the token-granular Λ (streaming) mask, which offline head
+// calibration also runs. The decode variant walks a full paged KV history.
 #pragma once
 
 #include <cstddef>
@@ -20,6 +20,13 @@ namespace lserve::attn {
 void dense_prefill_reference(num::ConstMatView q, num::ConstMatView k,
                              num::ConstMatView v, float scale,
                              num::MatView out);
+
+/// Token-granular Λ reference for one head: row i attends to keys j <= i
+/// with (j < sink_tokens) or (j + local_tokens > i).
+void streaming_prefill_reference(num::ConstMatView q, num::ConstMatView k,
+                                 num::ConstMatView v, std::size_t sink_tokens,
+                                 std::size_t local_tokens, float scale,
+                                 num::MatView out);
 
 /// Dense decode for one head over the full paged history: the current
 /// query attends to all `head.tokens()` cached tokens.

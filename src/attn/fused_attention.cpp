@@ -119,16 +119,11 @@ std::vector<PrefillTask> plan_prefill(const kv::PageAllocator& dense_alloc,
       const std::size_t pos = history + row0;
       const std::size_t q_tile = (pos - origin) / tq;
       const std::size_t end = std::min(history + n, origin + (q_tile + 1) * tq);
-      // Λ: a sink tile or one of the local tiles ending at the q-tile's
-      // diagonal, its last row clamped to the prompt — the decision
+      // Λ: the q-tile's diagonal clamped to the prompt — the decision
       // BlockMask::streaming makes for a monolithic prefill.
-      const std::size_t diag =
-          (std::min((q_tile + 1) * tq, total_tokens) - 1) / tk;
+      const std::size_t diag = cfg.tiling.diag_block(q_tile, total_tokens);
       const auto keep = [&](std::size_t kb) {
-        if (streaming) {
-          return kb < cfg.streaming.sink_blocks ||
-                 kb + cfg.streaming.local_blocks > diag;
-        }
+        if (streaming) return cfg.streaming.keeps(kb, diag);
         return !dynamic || mask.kept(q_tile, kb);
       };
       std::vector<PageSpan> spans = mask_spans(

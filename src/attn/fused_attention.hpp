@@ -20,9 +20,8 @@
 #include <functional>
 #include <vector>
 
-#include "attn/block_sparse_prefill.hpp"
+#include "attn/block_mask.hpp"
 #include "attn/decode_attention.hpp"
-#include "attn/streaming_attention.hpp"
 #include "kv/two_way_cache.hpp"
 #include "sparse/hierarchical_selector.hpp"
 #include "sparse/prefill_mask.hpp"

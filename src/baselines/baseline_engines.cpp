@@ -85,33 +85,10 @@ serve::EngineConfig minference_config(const model::ModelConfig& m) {
   return cfg;
 }
 
-std::shared_ptr<const serve::AttentionPolicy> preset_policy(int idx) {
-  return std::make_shared<const serve::StaticAttentionPolicy>(
-      preset_name(idx), serve::AttentionRoute::kSparse);
-}
-
 std::shared_ptr<const serve::CostModelGatedPolicy> gated_policy(
     const serve::EngineConfig& cfg, const cost::GpuSpec& spec,
     std::size_t batch) {
   return serve::make_cost_model_gated_policy(spec, cfg, batch);
-}
-
-const char* preset_name(int idx) {
-  switch (idx) {
-    case 0:
-      return "LServe";
-    case 1:
-      return "vLLM";
-    case 2:
-      return "QServe";
-    case 3:
-      return "DuoAttention";
-    case 4:
-      return "Quest";
-    case 5:
-      return "MInference";
-  }
-  return "?";
 }
 
 }  // namespace lserve::baselines

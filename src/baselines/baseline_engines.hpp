@@ -34,15 +34,6 @@ serve::EngineConfig duo_attention_config(const model::ModelConfig& m);
 serve::EngineConfig quest_config(const model::ModelConfig& m);
 serve::EngineConfig minference_config(const model::ModelConfig& m);
 
-/// Names every preset for bench table headers, in the order above.
-const char* preset_name(int idx);
-
-/// The preset as a policy object: a static run-as-configured route named
-/// after preset `idx` (the order above). Presets without dynamic decode
-/// route kSparse too — for them the routes coincide, so "as configured"
-/// is the faithful policy translation of every config blob.
-std::shared_ptr<const serve::AttentionPolicy> preset_policy(int idx);
-
 /// LServe's cost-model gate for `cfg` served on `spec` at decode batch
 /// `batch`: dense attention below the modeled sparse-vs-dense crossover,
 /// the configured hybrid pipeline at or past it. Convenience wrapper over

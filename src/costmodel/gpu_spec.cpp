@@ -24,14 +24,4 @@ GpuSpec l40s() {
   return spec;
 }
 
-GpuSpec scaled(const GpuSpec& base, double speedup) {
-  GpuSpec spec = base;
-  spec.name = base.name + "x" + std::to_string(speedup);
-  spec.hbm_bw_gbps = base.hbm_bw_gbps * speedup;
-  spec.fp16_tflops = base.fp16_tflops * speedup;
-  spec.int8_tops = base.int8_tops * speedup;
-  spec.launch_overhead_us = base.launch_overhead_us / speedup;
-  return spec;
-}
-
 }  // namespace lserve::cost

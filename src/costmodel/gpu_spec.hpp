@@ -35,11 +35,4 @@ GpuSpec a100();
 /// NVIDIA L40S 48GB (Ada Lovelace).
 GpuSpec l40s();
 
-/// A hypothetical part `speedup`-times faster than `base`: bandwidth and
-/// matrix throughput scale up, launch overhead scales down, and the purely
-/// geometric constants (page gap, efficiency fractions) stay put. Under
-/// this scaling every roofline term divides by `speedup`, so cost *ratios*
-/// — and with them the sparse-vs-dense crossover — are invariant.
-GpuSpec scaled(const GpuSpec& base, double speedup);
-
 }  // namespace lserve::cost

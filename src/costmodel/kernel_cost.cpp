@@ -16,8 +16,8 @@ double fp16_flops_per_us(const GpuSpec& spec) {
   return spec.fp16_tflops * 1e12 / kUsPerSecond;
 }
 
-}  // namespace
-
+/// Fraction of peak bandwidth achieved when KV is read in pages of
+/// `page_tokens` tokens at `head_dim` channels and `dtype` precision.
 double page_bandwidth_efficiency(const GpuSpec& spec, std::size_t page_tokens,
                                  num::KvDtype dtype, std::size_t head_dim) {
   const double payload = static_cast<double>(page_tokens) *
@@ -25,6 +25,8 @@ double page_bandwidth_efficiency(const GpuSpec& spec, std::size_t page_tokens,
                          num::bytes_per_element(dtype);
   return payload / (payload + spec.page_gap_bytes);
 }
+
+}  // namespace
 
 double decode_attention_us(const GpuSpec& spec, std::size_t kv_heads,
                            std::size_t head_dim, std::size_t kv_tokens,

@@ -13,15 +13,10 @@
 
 namespace lserve::cost {
 
-/// Fraction of peak bandwidth achieved when KV is read in pages of
-/// `page_tokens` tokens at `head_dim` channels and `dtype` precision
-/// (models Table 1: small quantized pages waste DRAM bursts).
-double page_bandwidth_efficiency(const GpuSpec& spec, std::size_t page_tokens,
-                                 num::KvDtype dtype, std::size_t head_dim);
-
 /// Decode-stage paged attention for one layer:
 /// `kv_heads` heads each reading `kv_tokens` cached tokens (keys+values) of
-/// `head_dim` channels at `dtype`, for `batch` sequences.
+/// `head_dim` channels at `dtype`, for `batch` sequences, in pages of
+/// `page_tokens` tokens (small quantized pages waste DRAM bursts, Table 1).
 double decode_attention_us(const GpuSpec& spec, std::size_t kv_heads,
                            std::size_t head_dim, std::size_t kv_tokens,
                            num::KvDtype dtype, std::size_t page_tokens,

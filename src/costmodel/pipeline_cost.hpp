@@ -49,10 +49,6 @@ struct StageBreakdown {
   double total_us() const noexcept {
     return attention_us + gemm_us + selector_us + other_us;
   }
-  double attention_fraction() const noexcept {
-    const double t = total_us();
-    return t > 0.0 ? attention_us / t : 0.0;
-  }
 };
 
 /// Latency of ONE decode step for the whole model at context length

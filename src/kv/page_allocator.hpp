@@ -17,9 +17,9 @@
 // copied verbatim, so tiering on ≡ tiering off for every output.
 //
 // Page access is pin-based: callers never hold a raw Page& across
-// statements they don't control. PageRef is the copyable tier-aware
-// handle; PagePin / PageWritePin are RAII resolutions that keep the page
-// hot (and demotion-protected) for exactly the scope of the access:
+// statements they don't control. They hold PageIds; PagePin /
+// PageWritePin are RAII resolutions that keep the page hot (and
+// demotion-protected) for exactly the scope of the access:
 //
 //   kv::PagePin pin = alloc.pin(id);        // promotes if cold
 //   pin.page().load_key(slot, out);         // Page& valid inside the scope
@@ -177,26 +177,6 @@ class PageWritePin {
   PageId id_ = kInvalidPage;
 };
 
-/// Copyable tier-aware page handle: (allocator, id) without a resolved
-/// Page&. The public replacement for the old stable-for-life `get()`
-/// reference — hold PageRefs freely, pin() only for the access scope.
-class PageRef {
- public:
-  PageRef() = default;
-  PageRef(const PageAllocator& alloc, PageId id) noexcept
-      : alloc_(&alloc), id_(id) {}
-
-  PageId id() const noexcept { return id_; }
-  bool valid() const noexcept {
-    return alloc_ != nullptr && id_ != kInvalidPage;
-  }
-  inline PagePin pin() const;
-
- private:
-  const PageAllocator* alloc_ = nullptr;
-  PageId id_ = kInvalidPage;
-};
-
 /// Fixed-config page pool with O(1) allocate/release and an optional
 /// spill tier.
 class PageAllocator {
@@ -249,9 +229,6 @@ class PageAllocator {
     auditor_.on_pin(id);
     return PageWritePin(this, &get(id), id);
   }
-
-  /// Copyable handle for `id` (pin later, at the access site).
-  PageRef ref(PageId id) const noexcept { return PageRef(*this, id); }
 
   /// Records the sparse selector's per-page scores: lower score = colder
   /// = demoted first. Pages without a score fall back to least-recently-
@@ -319,7 +296,6 @@ class PageAllocator {
  private:
   friend class PagePin;
   friend class PageWritePin;
-  friend class PageRef;
 
   static constexpr std::size_t kChunkShift = 8;
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
@@ -339,7 +315,7 @@ class PageAllocator {
   };
 
   /// Raw slot lookup (no tier handling). Internal: external access goes
-  /// through pin()/pin_mut()/ref() so it can never outlive residency.
+  /// through pin()/pin_mut() so it can never outlive residency.
   Page& get(PageId id) noexcept {
     return chunks_[id >> kChunkShift].load(std::memory_order_acquire)
         [id & kChunkMask];
@@ -443,7 +419,5 @@ inline void PageWritePin::reset() noexcept {
   alloc_ = nullptr;
   page_ = nullptr;
 }
-
-inline PagePin PageRef::pin() const { return alloc_->pin(id_); }
 
 }  // namespace lserve::kv

@@ -11,11 +11,4 @@ SelectedPageTable full_page_table(const PageTableView& view) {
   return table;
 }
 
-std::size_t selected_tokens(const SelectedPageTable& table,
-                            const PageTableView& view) {
-  std::size_t total = 0;
-  for (const auto& entry : table) total += view.block_tokens(entry.block);
-  return total;
-}
-
 }  // namespace lserve::kv

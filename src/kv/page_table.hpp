@@ -48,8 +48,4 @@ struct PageTableView {
 /// Builds the identity (dense) selected-page table covering all blocks.
 SelectedPageTable full_page_table(const PageTableView& view);
 
-/// Number of tokens covered by a selected table given sequence state.
-std::size_t selected_tokens(const SelectedPageTable& table,
-                            const PageTableView& view);
-
 }  // namespace lserve::kv

@@ -2,17 +2,6 @@
 
 namespace lserve::model {
 
-std::size_t ModelConfig::parameter_count() const noexcept {
-  const std::size_t h = hidden();
-  const std::size_t kv = kv_dim();
-  // Per layer: Wq (h*h), Wk/Wv (h*kv each), Wo (h*h), SwiGLU FFN
-  // (up + gate + down). Embedding and lm_head counted separately (Llama-3
-  // unties them).
-  const std::size_t per_layer =
-      h * h + 2 * h * kv + h * h + 3 * h * ffn_hidden;
-  return layers * per_layer + 2 * vocab * h;
-}
-
 ModelConfig llama3_8b() {
   ModelConfig cfg;
   cfg.name = "Llama-3-8B";

@@ -26,10 +26,6 @@ struct ModelConfig {
   std::size_t hidden() const noexcept { return q_heads * head_dim; }
   std::size_t kv_dim() const noexcept { return kv_heads * head_dim; }
   std::size_t group_size() const noexcept { return q_heads / kv_heads; }
-  bool is_gqa() const noexcept { return kv_heads < q_heads; }
-
-  /// Parameter count of the simulated network (for reporting).
-  std::size_t parameter_count() const noexcept;
 };
 
 /// Llama-3-8B: 32 layers, 32 query / 8 kv heads, d=128, FFN 14336 (GQA).

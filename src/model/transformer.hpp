@@ -36,7 +36,6 @@ class Transformer {
   Transformer(ModelConfig cfg, std::uint64_t seed);
 
   const ModelConfig& config() const noexcept { return cfg_; }
-  const num::RopeTable& rope() const noexcept { return rope_; }
 
   /// Embeds token ids into hidden states ([n x hidden]).
   num::Tensor embed(std::span<const std::int32_t> ids) const;

@@ -55,17 +55,6 @@ void softmax_inplace(float* row, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) row[i] *= inv;
 }
 
-void matmul_abt(ConstMatView a, ConstMatView b, MatView c) noexcept {
-  assert(a.cols == b.cols && c.rows == a.rows && c.cols == b.rows);
-  for (std::size_t i = 0; i < a.rows; ++i) {
-    const float* ai = a.row(i);
-    float* ci = c.row(i);
-    for (std::size_t j = 0; j < b.rows; ++j) {
-      ci[j] = dot(ai, b.row(j), a.cols);
-    }
-  }
-}
-
 namespace {
 
 // One tile of C = A·B: R rows x 4C columns from (i, j), held in R x C
@@ -145,13 +134,6 @@ std::vector<std::size_t> top_k_indices(std::span<const float> scores,
 
 OnlineSoftmax::OnlineSoftmax(std::size_t dim) : acc_(dim, 0.0f) {}
 
-void OnlineSoftmax::fold(const float* scores, const float* values,
-                         std::size_t count, std::size_t stride) noexcept {
-  for (std::size_t i = 0; i < count; ++i) {
-    fold_one(scores[i], values + i * stride);
-  }
-}
-
 void OnlineSoftmax::fold_one(float score, const float* value) noexcept {
   if (!started_) {
     started_ = true;
@@ -187,13 +169,6 @@ void OnlineSoftmax::finish(float* out) const noexcept {
 float OnlineSoftmax::log_sum_exp() const noexcept {
   if (!started_) return -std::numeric_limits<float>::infinity();
   return max_ + std::log(norm_);
-}
-
-void OnlineSoftmax::reset() noexcept {
-  started_ = false;
-  max_ = 0.0f;
-  norm_ = 0.0f;
-  std::fill(acc_.begin(), acc_.end(), 0.0f);
 }
 
 }  // namespace lserve::num

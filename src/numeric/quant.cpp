@@ -108,11 +108,6 @@ void dequantize_row_int4(const std::uint8_t* codes, std::size_t n,
   if (n & 1) out[n - 1] = decode(codes[pairs] & 0x0F, p);
 }
 
-float quant_error_bound(const float* row, std::size_t n, int bits) noexcept {
-  const QuantParams p = compute_quant_params(row, n, bits);
-  return 0.5f * p.scale;
-}
-
 QuantizedRows::QuantizedRows(std::size_t rows, std::size_t dim, KvDtype dtype)
     : rows_(rows), dim_(dim), dtype_(dtype) {
   switch (dtype_) {

@@ -53,10 +53,6 @@ void quantize_row_int4(const float* row, std::size_t n, QuantParams p,
 void dequantize_row_int4(const std::uint8_t* codes, std::size_t n,
                          QuantParams p, float* out) noexcept;
 
-/// Round-trip worst-case absolute error bound for a row under `bits`-bit
-/// asymmetric quantization: half a quantization step.
-float quant_error_bound(const float* row, std::size_t n, int bits) noexcept;
-
 /// A contiguous buffer of `rows` quantized token rows with per-row params.
 /// This is the in-page storage format used by kv::Page.
 class QuantizedRows {

@@ -85,10 +85,6 @@ void Rng::fill_gaussian(std::vector<float>& out, float stddev) noexcept {
   for (auto& v : out) v = gaussian(0.0f, stddev);
 }
 
-void Rng::fill_uniform(std::vector<float>& out, float lo, float hi) noexcept {
-  for (auto& v : out) v = uniform(lo, hi);
-}
-
 std::vector<float> Rng::unit_vector(std::size_t dim) {
   std::vector<float> v(dim);
   double norm_sq = 0.0;
@@ -100,16 +96,6 @@ std::vector<float> Rng::unit_vector(std::size_t dim) {
   const float inv = static_cast<float>(1.0 / std::sqrt(norm_sq));
   for (auto& x : v) x *= inv;
   return v;
-}
-
-std::vector<std::size_t> Rng::permutation(std::size_t n) {
-  std::vector<std::size_t> p(n);
-  for (std::size_t i = 0; i < n; ++i) p[i] = i;
-  for (std::size_t i = n; i > 1; --i) {
-    const std::size_t j = next_below(i);
-    std::swap(p[i - 1], p[j]);
-  }
-  return p;
 }
 
 }  // namespace lserve::num

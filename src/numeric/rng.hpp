@@ -42,14 +42,8 @@ class Rng {
   /// Fills `out` with iid N(0, stddev^2).
   void fill_gaussian(std::vector<float>& out, float stddev) noexcept;
 
-  /// Fills `out` with iid U[lo, hi).
-  void fill_uniform(std::vector<float>& out, float lo, float hi) noexcept;
-
   /// Random unit vector of dimension `dim`.
   std::vector<float> unit_vector(std::size_t dim);
-
-  /// Fisher-Yates shuffle of an index vector [0, n).
-  std::vector<std::size_t> permutation(std::size_t n);
 
  private:
   std::array<std::uint64_t, 4> state_{};

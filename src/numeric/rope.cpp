@@ -29,11 +29,4 @@ void RopeTable::apply(float* row, std::size_t pos) const noexcept {
   }
 }
 
-void RopeTable::apply_many(float* rows, std::size_t count, std::size_t stride,
-                           std::size_t pos0) const noexcept {
-  for (std::size_t t = 0; t < count; ++t) {
-    apply(rows + t * stride, pos0 + t);
-  }
-}
-
 }  // namespace lserve::num

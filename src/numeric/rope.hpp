@@ -23,11 +23,6 @@ class RopeTable {
   /// Rotates one head row in place for absolute position `pos`.
   void apply(float* row, std::size_t pos) const noexcept;
 
-  /// Rotates `count` consecutive head rows starting at position `pos0`;
-  /// rows are spaced `stride` floats apart.
-  void apply_many(float* rows, std::size_t count, std::size_t stride,
-                  std::size_t pos0) const noexcept;
-
  private:
   std::vector<float> inv_freq_;
 };

@@ -5,10 +5,10 @@
 // read the full context. Streaming heads are a *storage* policy — their
 // evicted pages cannot come back — so a runtime gate can only flip the
 // retrieval-head route. AttentionPolicy encapsulates that decision:
-// StaticAttentionPolicy pins it (the baseline presets become named policy
-// objects), and CostModelGatedPolicy consults src/costmodel's crossover
-// query so short contexts decode dense and long contexts run the
-// configured hybrid pipeline — the paper's cost-model-driven gating.
+// StaticAttentionPolicy pins it, and CostModelGatedPolicy consults
+// src/costmodel's crossover query so short contexts decode dense and long
+// contexts run the configured hybrid pipeline — the paper's
+// cost-model-driven gating.
 //
 // The invariant the conformance harness (tests/attention_policy_test.cpp)
 // locks down: route() depends ONLY on the context length, never on thread

@@ -169,7 +169,7 @@ void Engine::release_sequence(SequenceId id) {
   sequences_[id].reset();
 }
 
-attn::FusedPrefillConfig Engine::prefill_config(std::size_t n_tokens) const {
+attn::FusedPrefillConfig Engine::prefill_config() const {
   attn::FusedPrefillConfig pc;
   pc.tiling = cfg_.tiling;
   pc.streaming.sink_blocks =
@@ -179,8 +179,7 @@ attn::FusedPrefillConfig Engine::prefill_config(std::size_t n_tokens) const {
       std::max<std::size_t>(1, (cfg_.streaming.local_tokens +
                                 cfg_.tiling.tile_k - 1) /
                                    cfg_.tiling.tile_k);
-  pc.dynamic_dense = cfg_.dynamic_prefill &&
-                     n_tokens >= cfg_.dynamic_prefill_min_tokens;
+  pc.dynamic_dense = cfg_.dynamic_prefill;
   pc.dynamic_cfg = cfg_.dynamic_prefill_cfg;
   return pc;
 }
@@ -205,7 +204,7 @@ void Engine::forward_prefill(SequenceId id, num::Tensor& hidden,
   const std::size_t h = cfg_.model.hidden();
   const std::size_t kvd = cfg_.model.kv_dim();
   const std::size_t d = cfg_.model.head_dim;
-  attn::FusedPrefillConfig pc = prefill_config(n);
+  attn::FusedPrefillConfig pc = prefill_config();
   // Absolute Λ geometry: position + prefill_remaining is the full prompt
   // length regardless of how it is chunked or how much a prefix-cache
   // attach already covered.
@@ -228,7 +227,7 @@ void Engine::forward_prefill(SequenceId id, num::Tensor& hidden,
   // Row-wise ops over one contiguous row block per pool thread.
   const std::size_t blocks =
       std::min(n, pool != nullptr ? pool->size() : std::size_t{1});
-  const auto for_row_blocks = [&](const auto& fn) {
+  const auto for_each_row_block = [&](const auto& fn) {
     on_pool(blocks, [&](std::size_t b) {
       const std::size_t r0 = n * b / blocks;
       fn(r0, n * (b + 1) / blocks - r0);
@@ -242,7 +241,7 @@ void Engine::forward_prefill(SequenceId id, num::Tensor& hidden,
   num::Tensor attn_out(n, h);
 
   for (std::size_t layer = 0; layer < cfg_.model.layers; ++layer) {
-    for_row_blocks([&](std::size_t r0, std::size_t rows) {
+    for_each_row_block([&](std::size_t r0, std::size_t rows) {
       tf_.rms_norm(hidden.view().rows_slice(r0, rows), layer,
                    normed.view().rows_slice(r0, rows));
       tf_.qkv_project(normed.view().rows_slice(r0, rows), layer, pos0 + r0,
@@ -269,7 +268,7 @@ void Engine::forward_prefill(SequenceId id, num::Tensor& hidden,
 
     seq.cache.evict_stale(stream_alloc_, layer);
 
-    for_row_blocks([&](std::size_t r0, std::size_t rows) {
+    for_each_row_block([&](std::size_t r0, std::size_t rows) {
       const num::MatView hidden_rows = hidden.view().rows_slice(r0, rows);
       tf_.output_project(attn_out.view().rows_slice(r0, rows), layer,
                          hidden_rows);

@@ -49,7 +49,6 @@ struct EngineConfig {
   std::size_t prefill_chunk_tokens = 0;
   bool dynamic_prefill = false;  ///< MInference-style prefill mask.
   sparse::DynamicPrefillConfig dynamic_prefill_cfg;
-  std::size_t dynamic_prefill_min_tokens = 0;  ///< activate above this len.
 
   std::size_t pool_pages = 2048;  ///< initial page-pool capacity.
   std::uint64_t seed = 42;
@@ -307,7 +306,7 @@ class Engine {
   /// partition change invalidates every cached page set.
   void rebuild_prefix_cache();
 
-  attn::FusedPrefillConfig prefill_config(std::size_t n_tokens) const;
+  attn::FusedPrefillConfig prefill_config() const;
   attn::FusedDecodeConfig decode_config(AttentionRoute route) const;
 
   /// Recounts dense_slots_/stream_slots_ from head_kinds_ (call after any

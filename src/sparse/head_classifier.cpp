@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "attn/dense_attention.hpp"
-#include "attn/streaming_attention.hpp"
 #include "numeric/math.hpp"
 #include "numeric/tensor.hpp"
 

@@ -41,20 +41,15 @@ attn::BlockMask build_dynamic_prefill_mask(num::ConstMatView q,
   }
 
   attn::BlockMask mask(q_blocks, k_blocks);
+  const attn::StreamingBlocks forced{cfg.sink_blocks, cfg.local_blocks};
   std::vector<float> scores;
   for (std::size_t qb = 0; qb < q_blocks; ++qb) {
-    const std::size_t last_row = std::min((qb + 1) * tq, n) - 1;
-    const std::size_t diag = last_row / tk;
+    const std::size_t diag = tiling.diag_block(qb, n);
     const std::size_t causal_blocks = diag + 1;
 
-    // Forced structure: sinks + local diagonal band.
-    for (std::size_t kb = 0; kb < std::min(cfg.sink_blocks, causal_blocks);
-         ++kb) {
-      mask.set(qb, kb, true);
-    }
-    for (std::size_t i = 0; i < std::min(cfg.local_blocks, causal_blocks);
-         ++i) {
-      mask.set(qb, diag - i, true);
+    // Forced structure: the Λ tiles (sinks + local diagonal band).
+    for (std::size_t kb = 0; kb < causal_blocks; ++kb) {
+      if (forced.keeps(kb, diag)) mask.set(qb, kb, true);
     }
 
     // Budget for estimated "vertical" tiles.
@@ -69,7 +64,6 @@ attn::BlockMask build_dynamic_prefill_mask(num::ConstMatView q,
       mask.set(qb, kb, true);
     }
   }
-  mask.finalize();
   return mask;
 }
 

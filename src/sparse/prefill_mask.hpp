@@ -12,8 +12,7 @@
 
 #include <cstddef>
 
-#include "attn/block_iterator.hpp"
-#include "attn/block_sparse_prefill.hpp"
+#include "attn/block_mask.hpp"
 #include "numeric/tensor.hpp"
 
 namespace lserve::sparse {
@@ -25,7 +24,7 @@ struct DynamicPrefillConfig {
   std::size_t local_blocks = 2; ///< always-kept diagonal band (in tiles).
 };
 
-/// Builds a finalized dynamic block mask for one head's prefill.
+/// Builds the dynamic block mask for one head's prefill.
 /// q, k: [n x d] (post-RoPE). The mask always contains the causal
 /// diagonal, sinks, and local band; remaining budget goes to the
 /// highest-scoring pooled tiles.

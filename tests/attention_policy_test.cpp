@@ -67,16 +67,6 @@ TEST(AttentionPolicy, GatedPolicyFlipsExactlyAtCrossover) {
   EXPECT_EQ(never.route(std::size_t{1} << 40), AttentionRoute::kDense);
 }
 
-TEST(AttentionPolicy, PresetPoliciesCarryPresetNames) {
-  for (int idx = 0; idx < 6; ++idx) {
-    const auto policy = baselines::preset_policy(idx);
-    ASSERT_NE(policy, nullptr);
-    EXPECT_EQ(policy->name(), baselines::preset_name(idx));
-    // Presets run as configured: the route that reproduces each system.
-    EXPECT_EQ(policy->route(1), AttentionRoute::kSparse);
-  }
-}
-
 // The window every conformance workload below is built around: the
 // crossover must land past the 64-token selector budget (sparse cannot win
 // while the budget covers the context) and before the shortest

@@ -1,10 +1,9 @@
-// Tests for block masks and the iterator abstraction
-// (src/attn/block_iterator).
+// Tests for prefill tile geometry and block masks (src/attn/block_mask).
 #include <gtest/gtest.h>
 
 #include <tuple>
 
-#include "attn/block_iterator.hpp"
+#include "attn/block_mask.hpp"
 
 namespace lserve::attn {
 namespace {
@@ -55,33 +54,6 @@ TEST(BlockMask, StreamingSparsityGrowsWithLength) {
   EXPECT_GT(s_long, 0.8);  // nearly free at long context
 }
 
-TEST(BlockMask, FinalizeBuildsSortedRowLists) {
-  BlockMask m(3, 5);
-  m.set(1, 4, true);
-  m.set(1, 0, true);
-  m.set(1, 2, true);
-  m.finalize();
-  const auto row = m.row_blocks(1);
-  ASSERT_EQ(row.size(), 3u);
-  EXPECT_EQ(row[0], 0u);
-  EXPECT_EQ(row[1], 2u);
-  EXPECT_EQ(row[2], 4u);
-  EXPECT_TRUE(m.row_blocks(0).empty());
-}
-
-TEST(BlockIterator, WalksAllBlocksOnce) {
-  BlockMask m(1, 8);
-  for (std::size_t kb : {1u, 3u, 6u}) m.set(0, kb, true);
-  m.finalize();
-  BlockIterator it(m.row_blocks(0));
-  EXPECT_EQ(it.remaining(), 3u);
-  EXPECT_FALSE(it.done());
-  EXPECT_EQ(it.next(), 1u);
-  EXPECT_EQ(it.next(), 3u);
-  EXPECT_EQ(it.next(), 6u);
-  EXPECT_TRUE(it.done());
-}
-
 // Theoretical speedup check from §3.1: Fig 4(b) has 10 of 21 causal blocks
 // non-empty, giving a 2.1x theoretical speedup.
 TEST(BlockMask, TheoreticalSpeedupExample) {
@@ -106,14 +78,15 @@ TEST_P(MixedTileSizes, CausalDiagonalConsistent) {
   const auto [tq, tk] = GetParam();
   const std::size_t n = 200;
   BlockMask m = BlockMask::causal(n, tq, tk);
-  m.finalize();
-  // For every q block, the last kept k block must contain the q block's
-  // last row, and no kept block may start beyond it.
+  const PrefillTiling tiling{tq, tk};
+  // For every q block, the kept k blocks are exactly those up to the one
+  // holding the q block's last row.
   for (std::size_t qb = 0; qb < m.q_blocks(); ++qb) {
     const std::size_t last_row = std::min((qb + 1) * tq, n) - 1;
-    const auto row = m.row_blocks(qb);
-    ASSERT_FALSE(row.empty());
-    EXPECT_EQ(row.back(), last_row / tk);
+    EXPECT_EQ(tiling.diag_block(qb, n), last_row / tk);
+    for (std::size_t kb = 0; kb < m.k_blocks(); ++kb) {
+      EXPECT_EQ(m.kept(qb, kb), kb <= last_row / tk) << qb << "," << kb;
+    }
   }
 }
 

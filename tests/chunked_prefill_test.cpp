@@ -45,19 +45,17 @@ num::Tensor walk_chunk(const num::Tensor& q, const num::Tensor& k,
   return out;
 }
 
-// The walk folds page-blocked, block_sparse_prefill token by token, so
-// they agree to the oracle tolerance rather than bit for bit.
-TEST(ChunkedPrefillKernel, EmptyHistoryEqualsBlockSparsePrefill) {
+// A chunk with no history is a whole prompt: every row matches the dense
+// oracle.
+TEST(ChunkedPrefillKernel, EmptyHistoryEqualsDenseReference) {
   const std::size_t n = 64, d = 16;
   num::Rng rng(1);
   num::Tensor q(n, d), k(n, d), v(n, d), a(n, d);
   for (auto* t : {&q, &k, &v}) {
     for (std::size_t i = 0; i < t->size(); ++i) t->data()[i] = rng.gaussian();
   }
-  attn::BlockMask mask = attn::BlockMask::causal(n, 16, 16);
-  mask.finalize();
-  attn::block_sparse_prefill(q.view(), k.view(), v.view(), mask, {16, 16},
-                             0.25f, a.view());
+  attn::dense_prefill_reference(q.view(), k.view(), v.view(), 0.25f,
+                                a.view());
   const num::Tensor b = walk_chunk(q, k, v, 16, n, 0.25f);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_NEAR(a.data()[i], b.data()[i], 1e-4f);

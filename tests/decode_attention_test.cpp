@@ -347,6 +347,11 @@ const char* shape_name(TableShape t) {
   return "?";
 }
 
+/// Fills `out` with iid U[lo, hi).
+void fill_uniform(num::Rng& rng, std::vector<float>& out, float lo, float hi) {
+  for (float& x : out) x = rng.uniform(lo, hi);
+}
+
 /// One kv head (dense or streaming) of a one-layer cache, a table over it,
 /// and the stored (dequantized) rows of exactly the tokens the table
 /// covers — the naive reference's input.
@@ -372,8 +377,8 @@ struct GroupCase {
     num::Rng rng(77 + d);
     std::vector<float> k(d), v(d);
     for (std::size_t t = 0; t < n; ++t) {
-      rng.fill_uniform(k, lo, hi);
-      rng.fill_uniform(v, lo, hi);
+      fill_uniform(rng, k, lo, hi);
+      fill_uniform(rng, v, lo, hi);
       cache.append(dense_alloc, stream_alloc, 0, 0, k.data(), v.data());
     }
     if (shape == TableShape::kStreaming) {

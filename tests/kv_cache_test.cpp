@@ -74,17 +74,9 @@ TEST(PageTable, FullTableCoversEveryBlock) {
     EXPECT_EQ(table[b].block, b);
     EXPECT_EQ(table[b].page, view.pages[b]);
   }
-  EXPECT_EQ(selected_tokens(table, view), 19u);
-}
-
-TEST(PageTable, SelectedTokensCountsPartialBlocks) {
-  PageAllocator alloc(cfg(), 8);
-  HeadCache head;
-  std::vector<float> k(8, 0.0f), v(8, 0.0f);
-  for (int t = 0; t < 19; ++t) head.append(alloc, k.data(), v.data());
-  const auto view = head.view(alloc);
-  const SelectedPageTable pruned{{view.pages[0], 0}, {view.pages[2], 2}};
-  EXPECT_EQ(selected_tokens(pruned, view), 8u + 3u);
+  std::size_t covered = 0;
+  for (const SelectedPage& e : table) covered += view.block_tokens(e.block);
+  EXPECT_EQ(covered, 19u);
 }
 
 TEST(SequenceKvCache, IndependentHeadsShareThePool) {

@@ -95,17 +95,17 @@ TEST(DynamicPrefillMask, SelectsHighAttentionBlocks) {
   }
 }
 
-TEST(DynamicPrefillMask, MaskIsFinalizedAndIterable) {
+TEST(DynamicPrefillMask, DiagonalIsTheLastKeptBlock) {
   const std::size_t n = 128, d = 8;
   const auto q = random_mat(n, d, 8);
   const auto k = random_mat(n, d, 9);
   const attn::BlockMask mask = build_dynamic_prefill_mask(
       q.view(), k.view(), {16, 16}, DynamicPrefillConfig{}, 0.25f);
-  // row_blocks asserts finalize() was called; also spot-check contents.
   for (std::size_t qb = 0; qb < mask.q_blocks(); ++qb) {
-    const auto row = mask.row_blocks(qb);
-    EXPECT_FALSE(row.empty());
-    EXPECT_EQ(row.back(), qb);  // diagonal present, sorted last
+    EXPECT_TRUE(mask.kept(qb, qb)) << "q block " << qb;
+    for (std::size_t kb = qb + 1; kb < mask.k_blocks(); ++kb) {
+      EXPECT_FALSE(mask.kept(qb, kb)) << "q block " << qb << ", k " << kb;
+    }
   }
 }
 

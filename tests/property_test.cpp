@@ -7,7 +7,7 @@
 #include <set>
 #include <vector>
 
-#include "attn/block_iterator.hpp"
+#include "attn/block_mask.hpp"
 #include "attn/decode_attention.hpp"
 #include "attn/fused_attention.hpp"
 #include "kv/kv_cache.hpp"
@@ -22,29 +22,28 @@
 namespace lserve {
 namespace {
 
-// ---- BlockMask: compressed rows are exactly the kept cells. ----
+// ---- BlockMask: kept() and kept_blocks() read back exactly the set cells.
 class MaskRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(MaskRoundTrip, RowBlocksMatchKeptCells) {
+TEST_P(MaskRoundTrip, KeptMatchesSetCells) {
   num::Rng rng(GetParam());
   const std::size_t qb = 1 + rng.next_below(12);
   const std::size_t kb = 1 + rng.next_below(20);
   attn::BlockMask mask(qb, kb);
+  std::vector<bool> set(qb * kb, false);
   for (std::size_t i = 0; i < qb; ++i) {
     for (std::size_t j = 0; j < kb; ++j) {
-      if (rng.next_double() < 0.4) mask.set(i, j, true);
+      if (rng.next_double() < 0.4) {
+        mask.set(i, j, true);
+        set[i * kb + j] = true;
+      }
     }
   }
-  mask.finalize();
   std::size_t total = 0;
   for (std::size_t i = 0; i < qb; ++i) {
-    const auto row = mask.row_blocks(i);
-    total += row.size();
-    for (std::size_t t = 0; t < row.size(); ++t) {
-      EXPECT_TRUE(mask.kept(i, row[t]));
-      if (t > 0) {
-        EXPECT_LT(row[t - 1], row[t]);  // sorted, unique
-      }
+    for (std::size_t j = 0; j < kb; ++j) {
+      EXPECT_EQ(mask.kept(i, j), set[i * kb + j]) << i << "," << j;
+      total += set[i * kb + j] ? 1 : 0;
     }
   }
   EXPECT_EQ(total, mask.kept_blocks());

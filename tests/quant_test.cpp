@@ -11,6 +11,12 @@
 namespace lserve::num {
 namespace {
 
+/// Round-trip worst-case absolute error bound for a row under `bits`-bit
+/// asymmetric quantization: half a quantization step.
+float quant_error_bound(const float* row, std::size_t n, int bits) {
+  return 0.5f * compute_quant_params(row, n, bits).scale;
+}
+
 std::vector<float> random_row(std::size_t n, float scale, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<float> row(n);

@@ -52,19 +52,6 @@ TEST(Rope, RelativePositionProperty) {
   EXPECT_NEAR(rotated_dot(5, 5), rotated_dot(900, 900), 1e-3f);
 }
 
-TEST(Rope, ApplyManyMatchesSingle) {
-  const std::size_t d = 16;
-  RopeTable rope(d);
-  Rng rng(4);
-  std::vector<float> batch(3 * d), single(3 * d);
-  rng.fill_gaussian(batch, 1.0f);
-  single = batch;
-  rope.apply_many(batch.data(), 3, d, 100);
-  for (std::size_t t = 0; t < 3; ++t) rope.apply(single.data() + t * d, 100 + t);
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    EXPECT_NEAR(batch[i], single[i], 1e-6f);
-}
-
 TEST(Rope, HigherBaseRotatesSlower) {
   const std::size_t d = 8;
   RopeTable fast(d, 100.0f);

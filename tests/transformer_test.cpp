@@ -17,22 +17,16 @@ TEST(ModelConfig, PresetGeometries) {
   EXPECT_EQ(l3.q_heads, 32u);
   EXPECT_EQ(l3.kv_heads, 8u);
   EXPECT_EQ(l3.head_dim, 128u);
-  EXPECT_TRUE(l3.is_gqa());
   EXPECT_EQ(l3.group_size(), 4u);
   EXPECT_EQ(l3.hidden(), 4096u);
 
   const ModelConfig l2 = llama2_7b();
-  EXPECT_FALSE(l2.is_gqa());
   EXPECT_EQ(l2.group_size(), 1u);
 
   const ModelConfig m4 = minitron_4b();
   EXPECT_EQ(m4.q_heads, 24u);
   EXPECT_EQ(m4.kv_heads, 8u);
   EXPECT_EQ(m4.hidden(), 3072u);
-
-  // ~8B parameters for the Llama-3-8B geometry (order of magnitude).
-  EXPECT_GT(l3.parameter_count(), 6'000'000'000ull);
-  EXPECT_LT(l3.parameter_count(), 9'000'000'000ull);
 }
 
 TEST(Transformer, DeterministicFromSeed) {
